@@ -157,7 +157,8 @@ fn cold_pass(dir: &Path, lo_id: LoId, prefetch_workers: usize, reps: usize) -> C
     let mut best_ns = f64::INFINITY;
     let mut rows = 0usize;
     for _ in 0..reps {
-        sb.drop_page_cache();
+        sb.drop_page_cache()
+            .expect("no uncommitted writes during the scan");
         let start = Instant::now();
         let out = parallel_scan(&reader, Predicate::Overlaps, query, CT, 2).unwrap();
         let ns = start.elapsed().as_nanos() as f64;
@@ -178,12 +179,14 @@ fn cold_pass(dir: &Path, lo_id: LoId, prefetch_workers: usize, reps: usize) -> C
     // set and keep squeezing the revisit set out.) The prefetcher is
     // quiesced before each sample so late installs land inside the
     // window they belong to.
-    sb.drop_page_cache();
+    sb.drop_page_cache()
+        .expect("no uncommitted writes during the scan");
     let before = sb.stats().snapshot();
     parallel_scan(&reader, Predicate::Overlaps, query, CT, 2).unwrap();
     sb.prefetch_quiesce();
     let cold = sb.stats().snapshot().since(&before);
-    sb.drop_page_cache();
+    sb.drop_page_cache()
+        .expect("no uncommitted writes during the scan");
     let mid = sb.stats().snapshot();
     for _ in 0..3 {
         let narrow = parallel_scan(&reader, Predicate::Overlaps, selective(), CT, 2).unwrap();

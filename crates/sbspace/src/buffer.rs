@@ -32,13 +32,18 @@
 //!
 //! Frames dirtied by a transaction stay in the pool until that
 //! transaction commits (force-at-commit) or aborts (frames discarded) —
-//! the no-steal policy that makes the redo-only WAL sound. Dirty and
-//! pinned frames are never evicted; when a full clock sweep finds no
-//! victim the shard temporarily exceeds its capacity (counted in
-//! [`IoStats::dirty_overflows`]) rather than stealing. Commit and
-//! checkpoint flushes batch each shard's dirty pages, sorted by page
-//! id, through [`Backend::write_pages`] so contiguous runs coalesce
-//! into single backend calls ([`IoStats::write_runs`],
+//! the no-steal policy that makes the redo-only WAL sound. Metadata
+//! pages (the header, free-list links) are written into the pool as
+//! committed-dirty frames tagged with the WAL group sequence of their
+//! logged image; such a frame reaches the backend only once the group
+//! committer's durable sequence covers its tag (WAL before data).
+//! Uncommitted-dirty frames, committed-dirty frames whose image is not
+//! yet durable, and pinned frames are never evicted; when a full clock
+//! sweep finds no victim the shard temporarily exceeds its capacity
+//! (counted in [`IoStats::dirty_overflows`]) rather than stealing.
+//! Commit and checkpoint flushes batch each shard's dirty pages, sorted
+//! by page id, through [`Backend::write_pages`] so contiguous runs
+//! coalesce into single backend calls ([`IoStats::write_runs`],
 //! [`IoStats::coalesced_writes`]).
 //!
 //! Page data lives behind `Arc<[u8; PAGE_SIZE]>`. [`BufferPool::read_pinned`]
@@ -74,6 +79,10 @@ struct Frame {
     /// checkpointer — or to eviction, which may write-then-drop such a
     /// frame without a sync. Mutually exclusive with `dirty_owner`.
     committed_dirty: bool,
+    /// WAL group sequence of the last metadata image written into the
+    /// frame: the frame may be written back only once the durable
+    /// sequence reaches it. `0` (data frames) means no constraint.
+    wal_seq: u64,
     /// Clock reference bit: set on access, cleared by the sweep.
     referenced: bool,
     /// Installed by a prefetch worker and not yet demanded. Cleared by
@@ -92,6 +101,7 @@ impl Frame {
             data,
             dirty_owner: None,
             committed_dirty: false,
+            wal_seq: 0,
             // Clear on insertion: the bit means "hit since faulted in",
             // so one-touch pages lose to re-referenced ones.
             referenced: false,
@@ -230,6 +240,9 @@ struct PoolInner {
     /// otherwise a read racing recovery replay could install pages that
     /// predate the out-of-band backend change.
     invalidations: AtomicU64,
+    /// The WAL group committer's durable sequence: a metadata frame
+    /// tagged above it must not reach the backend.
+    wal_durable: Arc<AtomicU64>,
 }
 
 impl PoolInner {
@@ -407,13 +420,15 @@ impl PoolInner {
     /// Clock sweep: evict unreferenced, unpinned frames until the shard
     /// fits its budget. A frame whose reference bit is set gets a
     /// second chance (the bit is cleared and the hand moves on).
-    /// Uncommitted-dirty frames are never evicted (no-steal); a
+    /// Uncommitted-dirty frames are never evicted (no-steal), nor are
+    /// metadata frames whose logged image is not yet durable; any other
     /// committed-dirty frame is written to the backend first — no sync
     /// needed, its redo image is already durable in the WAL — so a
     /// churn workload bigger than the pool stays bounded even between
     /// checkpoints. If a bounded sweep finds no victim the shard
     /// overflows its capacity rather than stealing.
     fn evict_to_capacity(&self, shard: &mut Shard) {
+        let durable = self.wal_durable.load(Ordering::Acquire);
         while shard.frames.len() > self.shard_capacity {
             let mut evicted = false;
             let budget = shard.clock.len() * 2;
@@ -424,7 +439,10 @@ impl PoolInner {
                 }
                 let pid = shard.clock[shard.hand];
                 let f = shard.frames.get_mut(&pid).expect("clock entry resident");
-                if f.dirty_owner.is_some() || f.pins.load(Ordering::Acquire) > 0 {
+                if f.dirty_owner.is_some()
+                    || f.wal_seq > durable
+                    || f.pins.load(Ordering::Acquire) > 0
+                {
                     shard.hand += 1;
                 } else if f.referenced {
                     f.referenced = false;
@@ -483,8 +501,14 @@ impl PoolInner {
         self.invalidations.fetch_add(1, Ordering::AcqRel);
         for shard in &self.shards {
             let mut shard = shard.lock();
-            shard.frames.clear();
-            shard.clock.clear();
+            // Dirty frames are newer than the backend: dropping one
+            // would lose a write.
+            shard
+                .frames
+                .retain(|_, f| f.dirty_owner.is_some() || f.committed_dirty);
+            let shard = &mut *shard;
+            let frames = &shard.frames;
+            shard.clock.retain(|pid| frames.contains_key(pid));
             shard.hand = 0;
         }
     }
@@ -589,13 +613,15 @@ impl BufferPool {
         shards: usize,
         stats: Arc<IoStats>,
     ) -> BufferPool {
-        BufferPool::with_prefetch(backend, capacity, shards, stats, 0, 0)
+        BufferPool::with_prefetch(backend, capacity, shards, stats, 0, 0, Arc::default())
     }
 
     /// [`BufferPool::new`] plus an asynchronous prefetcher:
     /// `prefetch_workers` background threads drain a queue bounded at
     /// `prefetch_depth` pages. `prefetch_workers = 0` disables prefetch
-    /// ([`BufferPool::prefetch`] becomes a no-op).
+    /// ([`BufferPool::prefetch`] becomes a no-op). `wal_durable` is the
+    /// WAL's durable group sequence, which gates the write-back of
+    /// metadata frames ([`BufferPool::write_meta`]).
     pub fn with_prefetch(
         backend: Box<dyn Backend>,
         capacity: usize,
@@ -603,6 +629,7 @@ impl BufferPool {
         stats: Arc<IoStats>,
         prefetch_workers: usize,
         prefetch_depth: usize,
+        wal_durable: Arc<AtomicU64>,
     ) -> BufferPool {
         let shards = shards.max(1);
         let shard_capacity = capacity.max(1).div_ceil(shards);
@@ -613,6 +640,7 @@ impl BufferPool {
             stats,
             shard_pins: (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             invalidations: AtomicU64::new(0),
+            wal_durable,
         });
         let prefetcher = (prefetch_workers > 0)
             .then(|| Prefetcher::spawn(&inner, prefetch_workers, prefetch_depth.max(1)));
@@ -702,10 +730,14 @@ impl BufferPool {
         Arc::make_mut(&mut frame.data).copy_from_slice(data);
         frame.dirty_owner = Some(txn);
         // A transaction only writes pages it allocated (shadow paging
-        // redirects everything else), and allocation always passes
-        // through a write-through of the free-list image — so a frame
-        // can never be committed-dirty when it becomes txn-dirty.
+        // redirects everything else), so a committed-dirty frame here
+        // holds the free-list link image of a page that was free. The
+        // write supersedes it: that image matters only while the page
+        // is on the free list, and the allocation that took the page
+        // off is queued behind the image — any sync that lets a
+        // checkpoint recycle the image makes the allocation durable.
         frame.committed_dirty = false;
+        frame.wal_seq = 0;
         frame.referenced = true;
         // A write is a touch too, but not a prefetch *hit*.
         frame.prefetched_untouched = false;
@@ -715,12 +747,12 @@ impl BufferPool {
         }
     }
 
-    /// Writes a metadata page through to the backend immediately (its
-    /// redo image must already be in the log) and refreshes the cache.
-    pub fn write_through(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
+    /// Installs a metadata page image whose redo record was enqueued in
+    /// the WAL as group sequence `seq`. The frame is committed-dirty:
+    /// the checkpoint flush or eviction writes it back, but only once
+    /// the WAL's durable sequence reaches `seq`.
+    pub fn write_meta(&self, pid: PageId, data: &[u8; PAGE_SIZE], seq: u64) {
         IoStats::bump(&self.inner.stats.logical_writes);
-        IoStats::bump(&self.inner.stats.physical_writes);
-        self.inner.backend.write_page(pid, data)?;
         let mut shard = self.inner.shards[self.inner.shard_idx(pid)].lock();
         let inserted = !shard.frames.contains_key(&pid.0);
         let frame = shard
@@ -729,14 +761,14 @@ impl BufferPool {
             .or_insert_with(|| Frame::clean(Arc::new([0u8; PAGE_SIZE])));
         Arc::make_mut(&mut frame.data).copy_from_slice(data);
         frame.dirty_owner = None;
-        frame.committed_dirty = false;
+        frame.committed_dirty = true;
+        frame.wal_seq = seq;
         frame.referenced = true;
         frame.prefetched_untouched = false;
         if inserted {
             shard.clock.push(pid.0);
             self.inner.evict_to_capacity(&mut shard);
         }
-        Ok(())
     }
 
     /// Returns all dirty frames owned by `txn` as shared references
@@ -828,9 +860,11 @@ impl BufferPool {
     /// behind checkpoint I/O at all. A frame a writer redirties behind
     /// the walk swaps in a fresh Arc under copy-on-write; the
     /// `ptr_eq` guard leaves its flag set, and the next checkpoint
-    /// catches it. Returns how many frames were written. The caller
-    /// syncs the backend afterwards.
+    /// catches it. Metadata frames whose logged image is not yet
+    /// durable are skipped too (WAL before data). Returns how many
+    /// frames were written. The caller syncs the backend afterwards.
     pub fn flush_committed(&self) -> Result<usize> {
+        let durable = self.inner.wal_durable.load(Ordering::Acquire);
         let mut pages: Vec<(u32, PageArc)> = Vec::new();
         for shard in &self.inner.shards {
             let shard = shard.lock();
@@ -838,7 +872,7 @@ impl BufferPool {
                 shard
                     .frames
                     .iter()
-                    .filter(|(_, f)| f.committed_dirty)
+                    .filter(|(_, f)| f.committed_dirty && f.wal_seq <= durable)
                     .map(|(&pid, f)| (pid, Arc::clone(&f.data))),
             );
         }
@@ -891,10 +925,12 @@ impl BufferPool {
             .any(|s| s.lock().frames.values().any(|f| f.dirty_owner.is_some()))
     }
 
-    /// Drops the entire cache (used after out-of-band backend changes,
-    /// e.g. recovery replay). Outstanding guards keep their snapshots
-    /// but no longer pin anything resident. In-flight faults that raced
-    /// this call discard their bytes and re-read.
+    /// Drops every clean frame (used after out-of-band backend changes,
+    /// e.g. recovery replay, and by cold-cache measurements). Dirty
+    /// frames stay: they are newer than the backend. Outstanding guards
+    /// keep their snapshots but no longer pin anything resident.
+    /// In-flight faults that raced this call discard their bytes and
+    /// re-read.
     pub fn invalidate(&self) {
         self.inner.invalidate();
     }
@@ -1017,23 +1053,44 @@ mod tests {
     }
 
     #[test]
-    fn write_through_is_immediate() {
+    fn meta_frame_reaches_backend_only_once_its_wal_sequence_is_durable() {
         let stats = IoStats::new_shared();
-        let p = BufferPool::new(Box::new(MemBackend::new()), 8, 2, Arc::clone(&stats));
-        p.write_through(PageId(9), &page_from_slice(b"meta"))
-            .unwrap();
-        assert!(!p.any_dirty());
-        p.invalidate();
+        let durable = Arc::new(AtomicU64::new(0));
+        let p = BufferPool::with_prefetch(
+            Box::new(MemBackend::new()),
+            2,
+            1,
+            Arc::clone(&stats),
+            0,
+            0,
+            Arc::clone(&durable),
+        );
+        p.write_meta(PageId(9), &page_from_slice(b"meta"), 3);
+        // Not durable yet: neither the checkpoint flush nor eviction
+        // pressure may write it back.
+        assert_eq!(p.flush_committed().unwrap(), 0);
         let mut out = zeroed_page();
+        for pid in 0..6 {
+            p.read(PageId(pid), &mut out).unwrap();
+        }
+        assert_eq!(p.committed_dirty_count(), 1);
+        assert_eq!(stats.snapshot().physical_writes, 0);
+        // Dropping the cache keeps the frame rather than losing it.
+        p.invalidate();
         p.read(PageId(9), &mut out).unwrap();
         assert_eq!(&out[..4], b"meta");
+        durable.store(3, Ordering::Release);
+        assert_eq!(p.flush_committed().unwrap(), 1);
         assert_eq!(stats.snapshot().physical_writes, 1);
+        p.invalidate();
+        p.read(PageId(9), &mut out).unwrap();
+        assert_eq!(&out[..4], b"meta");
     }
 
     #[test]
     fn pinned_read_is_zero_copy_and_snapshot_isolated() {
         let p = pool(8, 2);
-        p.write_through(PageId(4), &page_from_slice(b"before"))
+        p.recovery_write(PageId(4), &page_from_slice(b"before"))
             .unwrap();
         let g = p.read_pinned(PageId(4)).unwrap();
         assert_eq!(&g[..6], b"before");
@@ -1054,7 +1111,7 @@ mod tests {
     fn pinned_pages_survive_eviction_pressure() {
         let stats = IoStats::new_shared();
         let p = BufferPool::new(Box::new(MemBackend::new()), 2, 1, Arc::clone(&stats));
-        p.write_through(PageId(0), &page_from_slice(b"pinned"))
+        p.recovery_write(PageId(0), &page_from_slice(b"pinned"))
             .unwrap();
         let guard = p.read_pinned(PageId(0)).unwrap();
         let mut out = zeroed_page();
@@ -1150,7 +1207,7 @@ mod tests {
     #[test]
     fn guard_outliving_pool_trips_assertion() {
         let p = pool(4, 2);
-        p.write_through(PageId(1), &page_from_slice(b"x")).unwrap();
+        p.recovery_write(PageId(1), &page_from_slice(b"x")).unwrap();
         let guard = p.read_pinned(PageId(1)).unwrap();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(p)));
         assert!(
@@ -1164,7 +1221,7 @@ mod tests {
     fn concurrent_readers_on_distinct_shards() {
         let p = Arc::new(pool(64, 8));
         for pid in 0..8 {
-            p.write_through(PageId(pid), &page_from_slice(&[b'a' + pid as u8]))
+            p.recovery_write(PageId(pid), &page_from_slice(&[b'a' + pid as u8]))
                 .unwrap();
         }
         let barrier = Arc::new(std::sync::Barrier::new(8));
@@ -1394,6 +1451,7 @@ mod tests {
             Arc::clone(&stats),
             workers,
             64,
+            Arc::default(),
         );
         (p, stats)
     }
@@ -1402,7 +1460,7 @@ mod tests {
     fn prefetch_warms_cache_and_counts_hits() {
         let (p, stats) = prefetch_pool(32, 2);
         for pid in 0..8u32 {
-            p.write_through(PageId(pid), &page_from_slice(&[b'p', pid as u8]))
+            p.recovery_write(PageId(pid), &page_from_slice(&[b'p', pid as u8]))
                 .unwrap();
         }
         p.invalidate();
@@ -1437,8 +1495,15 @@ mod tests {
         inj.write_page(PageId(5), &page_from_slice(b"later"))
             .unwrap();
         let stats = IoStats::new_shared();
-        let p =
-            BufferPool::with_prefetch(Box::new(Arc::clone(&inj)), 8, 2, Arc::clone(&stats), 1, 16);
+        let p = BufferPool::with_prefetch(
+            Box::new(Arc::clone(&inj)),
+            8,
+            2,
+            Arc::clone(&stats),
+            1,
+            16,
+            Arc::default(),
+        );
         inj.fail_after(0);
         p.prefetch(&[PageId(5)]);
         p.prefetch_quiesce();
@@ -1459,8 +1524,15 @@ mod tests {
     #[test]
     fn wasted_prefetch_is_counted_on_eviction() {
         let stats = IoStats::new_shared();
-        let p =
-            BufferPool::with_prefetch(Box::new(MemBackend::new()), 2, 1, Arc::clone(&stats), 1, 64);
+        let p = BufferPool::with_prefetch(
+            Box::new(MemBackend::new()),
+            2,
+            1,
+            Arc::clone(&stats),
+            1,
+            64,
+            Arc::default(),
+        );
         // Six prefetched pages into a two-frame pool: most are evicted
         // before any demand read touches them.
         let pids: Vec<PageId> = (0..6).map(PageId).collect();
@@ -1477,7 +1549,7 @@ mod tests {
     fn read_pinned_and_prefetched_reads_agree() {
         let (p, _stats) = prefetch_pool(64, 2);
         for pid in 0..12u32 {
-            p.write_through(PageId(pid), &page_from_slice(&[0xAB, pid as u8]))
+            p.recovery_write(PageId(pid), &page_from_slice(&[0xAB, pid as u8]))
                 .unwrap();
         }
         p.invalidate();

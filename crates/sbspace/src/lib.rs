@@ -16,9 +16,9 @@
 //!   crate's benchmarks make measurable;
 //! * crash safety via a **write-ahead log**: data-page writes are
 //!   buffered (no-steal) and forced at commit after their redo images
-//!   reach the log; space-allocation metadata is logged separately with
-//!   per-transaction compensation so an abort or crash frees what an
-//!   unfinished transaction allocated.
+//!   reach the log; space-allocation metadata is logged in the same
+//!   ordered log stream, with per-transaction compensation so an abort
+//!   or crash frees what an unfinished transaction allocated.
 //!
 //! The store runs over an in-memory backend (for tests and benchmarks)
 //! or a file backend (for recovery tests), with optional fault

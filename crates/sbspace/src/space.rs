@@ -39,14 +39,15 @@ pub struct SbspaceOptions {
     pub pool_shards: usize,
     /// Lock-wait timeout.
     pub lock_timeout: Duration,
-    /// When true, committing transactions share WAL appends and syncs
-    /// through a group-commit leader, and the data-page writes are
-    /// deferred entirely (no-force — the WAL's redo images carry
-    /// durability): the checkpointer, or eviction pressure, writes them
-    /// later. When false (the default), every commit forces the log and
-    /// the data pages itself.
+    /// When true, a commit's data-page writes are deferred entirely
+    /// (no-force — the WAL's redo images carry durability): the
+    /// checkpointer, or eviction pressure, writes them later. When
+    /// false (the default), every commit forces its data pages to the
+    /// backend and syncs it. Either way the log itself is shared:
+    /// committers ride a group-commit leader's append and sync.
     pub group_commit: bool,
-    /// Maximum commit batches a group-commit leader flushes per sync.
+    /// Maximum commit batches a group-commit leader flushes per sync
+    /// (queued allocation and free-list batches ride along uncounted).
     pub commit_batch_size: usize,
     /// Size at which a WAL segment rolls. Together with the checkpoint
     /// cadence this bounds both the log's footprint and how much of it
@@ -127,7 +128,10 @@ pub(crate) struct SpaceInner {
     /// Sharded and internally synchronised — no outer lock.
     pool: BufferPool,
     wal: Box<dyn WalStore>,
+    /// The WAL's only writer at runtime: every record is appended in
+    /// its sequence order.
     group: GroupCommitter,
+    /// No-force commits (see [`SbspaceOptions::group_commit`]).
     group_commit: bool,
     pub(crate) lm: LockManager,
     stats: Arc<IoStats>,
@@ -223,6 +227,7 @@ impl Sbspace {
         let stats = IoStats::new_shared();
         let metrics = Metrics::shared();
         stats.register_in(&metrics);
+        let group = GroupCommitter::new(opts.commit_batch_size);
         let pool = BufferPool::with_prefetch(
             Box::new(backend),
             opts.pool_pages,
@@ -230,6 +235,7 @@ impl Sbspace {
             Arc::clone(&stats),
             opts.prefetch_workers,
             opts.prefetch_depth,
+            group.durable_seq(),
         );
         Self::recover(&pool, &wal)?;
         // Initialise the header if the space is brand new.
@@ -253,7 +259,7 @@ impl Sbspace {
             inner: Arc::new(SpaceInner {
                 pool,
                 wal: Box::new(wal),
-                group: GroupCommitter::new(opts.commit_batch_size),
+                group,
                 group_commit: opts.group_commit,
                 lm: LockManager::new(opts.lock_timeout, Arc::clone(&stats)),
                 stats,
@@ -517,13 +523,24 @@ impl Sbspace {
         self.inner.pool.prefetch_quiesce();
     }
 
-    /// Drops every cached frame, so the next reads hit the backend cold
-    /// (benchmark hook — lets a cold-scan harness measure physical I/O
-    /// without reopening the space). Quiesces the prefetcher first so
-    /// in-flight installs don't repopulate the cache behind the drop.
-    pub fn drop_page_cache(&self) {
-        self.inner.pool.prefetch_quiesce();
-        self.inner.pool.invalidate();
+    /// Writes every committed frame back and drops the cache, so the
+    /// next reads hit the backend cold (benchmark hook — lets a
+    /// cold-scan harness measure physical I/O without reopening the
+    /// space). Quiesces the prefetcher first so in-flight installs
+    /// don't repopulate the cache behind the drop, and syncs the queued
+    /// WAL records so metadata frames may be written back. Refuses
+    /// while a transaction holds uncommitted frames, which cannot be.
+    pub fn drop_page_cache(&self) -> Result<()> {
+        let inner = &self.inner;
+        inner.pool.prefetch_quiesce();
+        if inner.pool.any_dirty() {
+            return Err(SbError::Usage("page cache holds uncommitted writes".into()));
+        }
+        inner.group.flush(inner.wal.as_ref(), &inner.stats)?;
+        inner.pool.flush_committed()?;
+        inner.pool.sync_backend()?;
+        inner.pool.invalidate();
+        Ok(())
     }
 
     /// The lock mode `txn` currently holds on `lo`, if any (diagnostic).
@@ -767,9 +784,9 @@ impl Drop for SpaceSnapshot {
         };
         self.inner.snapshots_open.dec();
         // Reclamation failure in a destructor is unreportable; on a
-        // store whose metadata writes fail the pages stay unreachable
-        // until the next recovery replays their retire notes.
-        let _ = self.inner.free_pages(&to_reclaim);
+        // store whose log fails the pages stay unreachable until the
+        // next recovery replays their retire notes.
+        let _ = self.inner.free_pages(&to_reclaim, None);
         drop(retire);
     }
 }
@@ -843,22 +860,19 @@ impl SpaceInner {
         out
     }
 
-    /// Durably applies metadata page images: log first, then write
-    /// through.
-    fn meta_apply(&self, images: Vec<(u32, PageBuf)>) -> Result<()> {
-        for (pid, data) in &images {
-            self.wal.append(
-                &WalRecord::MetaImage {
-                    pid: *pid,
-                    data: data.clone(),
-                }
-                .encode(),
-            )?;
-        }
-        IoStats::bump(&self.stats.wal_syncs);
-        self.wal.sync()?;
-        for (pid, data) in &images {
-            self.pool.write_through(PageId(*pid), data)?;
+    /// Logs `records` as one WAL batch, queued without waiting — the
+    /// next sync (a commit's or a checkpoint's) makes it durable — and
+    /// installs the metadata images among them in the pool as frames
+    /// tagged with the batch's sequence, so none reaches the backend
+    /// before its image is durable. Call with `meta` held: sequence
+    /// order is then the order the images were built in.
+    fn meta_apply(&self, records: Vec<WalRecord>) -> Result<()> {
+        let batch: Vec<u8> = records.iter().flat_map(WalRecord::encode).collect();
+        let seq = self.group.enqueue(batch)?;
+        for r in records {
+            if let WalRecord::MetaImage { pid, data } = r {
+                self.pool.write_meta(PageId(pid), &data, seq);
+            }
         }
         Ok(())
     }
@@ -869,7 +883,6 @@ impl SpaceInner {
         let _g = self.meta.lock();
         let mut header = self.read_header()?;
         let mut got = Vec::with_capacity(n);
-        let mut images: Vec<(u32, PageBuf)> = Vec::new();
         for _ in 0..n {
             if header.free_head != NO_PAGE {
                 let pid = header.free_head;
@@ -883,15 +896,18 @@ impl SpaceInner {
                 got.push(pid);
             }
         }
-        self.wal.append(
-            &WalRecord::AllocNote {
+        // The note precedes the header image: a torn batch then leaves
+        // at most a note whose pages recovery finds still free.
+        self.meta_apply(vec![
+            WalRecord::AllocNote {
                 txn,
                 pages: got.clone(),
-            }
-            .encode(),
-        )?;
-        images.push((0, header.encode()));
-        self.meta_apply(images)?;
+            },
+            WalRecord::MetaImage {
+                pid: 0,
+                data: header.encode(),
+            },
+        ])?;
         if let Some(st) = self.txns.lock().get_mut(&txn.0) {
             st.alloc_pages.extend_from_slice(&got);
             st.owned.extend(got.iter().copied());
@@ -899,28 +915,39 @@ impl SpaceInner {
         Ok(got)
     }
 
-    /// Returns pages to the free list (system transaction).
-    fn free_pages(&self, pages: &[u32]) -> Result<()> {
+    /// Returns pages to the free list (system transaction), logging
+    /// `trailer` in the same batch after the free-list images.
+    fn free_pages(&self, pages: &[u32], trailer: Option<WalRecord>) -> Result<()> {
         if pages.is_empty() {
             return Ok(());
         }
         let _g = self.meta.lock();
         let mut header = self.read_header()?;
-        let mut images: Vec<(u32, PageBuf)> = Vec::with_capacity(pages.len() + 1);
+        let mut records: Vec<WalRecord> = Vec::with_capacity(pages.len() + 2);
         for &pid in pages {
             debug_assert!(pid != 0, "cannot free the header page");
-            images.push((pid, encode_free_page(header.free_head)));
+            records.push(WalRecord::MetaImage {
+                pid,
+                data: encode_free_page(header.free_head),
+            });
             header.free_head = pid;
         }
-        images.push((0, header.encode()));
-        self.meta_apply(images)
+        records.push(WalRecord::MetaImage {
+            pid: 0,
+            data: header.encode(),
+        });
+        records.extend(trailer);
+        self.meta_apply(records)
     }
 
     fn adjust_lo_count(&self, delta: i64) -> Result<()> {
         let _g = self.meta.lock();
         let mut header = self.read_header()?;
         header.lo_count = (header.lo_count as i64 + delta).max(0) as u32;
-        self.meta_apply(vec![(0, header.encode())])
+        self.meta_apply(vec![WalRecord::MetaImage {
+            pid: 0,
+            data: header.encode(),
+        }])
     }
 
     fn run_callbacks(&self, txn: TxnId, end: TxnEnd) {
@@ -975,18 +1002,18 @@ impl SpaceInner {
         }
         // 1. Log redo images of every page this transaction dirtied,
         //    a retire note for the pages it superseded, then the commit
-        //    record, then force the log. A read-only transaction (no
-        //    dirty pages, no logged allocations, nothing retired) has
-        //    nothing to redo or compensate and skips the WAL entirely.
+        //    record, as one batch riding a shared append + sync. Held
+        //    2PL locks serialise conflicting transactions, so queue
+        //    order is a valid history, and the batch lands behind the
+        //    transaction's own allocation notes. A read-only
+        //    transaction (no dirty pages, no logged allocations,
+        //    nothing retired) has nothing to redo or compensate and
+        //    skips the WAL entirely.
         let dirty = self.pool.dirty_of(txn);
         let read_only = dirty.is_empty() && state.alloc_pages.is_empty() && all_retired.is_empty();
         let logged = if read_only {
-            // No WAL traffic, no sync.
             Ok(())
-        } else if self.group_commit {
-            // Group commit: encode everything into one batch and ride a
-            // shared append + sync. Held 2PL locks serialise conflicting
-            // transactions, so queue order is a valid history.
+        } else {
             let mut batch = Vec::new();
             for (pid, data) in &dirty {
                 batch.extend_from_slice(
@@ -1009,31 +1036,6 @@ impl SpaceInner {
             }
             batch.extend_from_slice(&WalRecord::Commit { txn }.encode());
             self.group.commit(self.wal.as_ref(), &self.stats, batch)
-        } else {
-            (|| {
-                for (pid, data) in &dirty {
-                    self.wal.append(
-                        &WalRecord::PageImage {
-                            txn,
-                            pid: pid.0,
-                            data: crate::page::page_from_slice(&data[..]),
-                        }
-                        .encode(),
-                    )?;
-                }
-                if !all_retired.is_empty() {
-                    self.wal.append(
-                        &WalRecord::RetireNote {
-                            txn,
-                            pages: all_retired.clone(),
-                        }
-                        .encode(),
-                    )?;
-                }
-                self.wal.append(&WalRecord::Commit { txn }.encode())?;
-                IoStats::bump(&self.stats.wal_syncs);
-                self.wal.sync()
-            })()
         };
         if let Err(e) = logged {
             // The commit record never became durable, so this is an
@@ -1115,7 +1117,7 @@ impl SpaceInner {
         // checkpoint from here carries it in its record), so the
         // low-water anchor can drop.
         self.committing.lock().remove(&txn.0);
-        let reclaim_result = self.free_pages(&to_reclaim);
+        let reclaim_result = self.free_pages(&to_reclaim, None);
         // Released before callbacks run: a callback may drop a snapshot,
         // whose destructor takes the guard itself.
         drop(_retire);
@@ -1143,19 +1145,21 @@ impl SpaceInner {
         self.pool.discard_txn(txn);
         // 2./3. Compensate allocations (the pages go back to the free
         //    list) and record the abort so recovery does not
-        //    re-compensate. Shadow paging allocates a fresh page for
-        //    every copy-on-write redirect, so this compensation does
-        //    real free-list I/O for any aborted writer — and it can
-        //    fail on a faulty backend. The locks are released either
-        //    way: a compensation failure leaks at most free pages
-        //    (repaired by the next recovery), while a leaked lock
-        //    wedges every later transaction on the same objects.
-        let compensated = (|| {
-            self.free_pages(&state.alloc_pages)?;
-            self.wal.append(&WalRecord::Abort { txn }.encode())?;
-            IoStats::bump(&self.stats.wal_syncs);
-            self.wal.sync()
-        })();
+        //    re-compensate — in one batch, so the abort record can
+        //    never be durable without the compensation, nor the
+        //    compensation (whose pages another transaction may take
+        //    next) without the abort record. The batch is queued, not
+        //    synced: until a later sync covers it, a crash finds the
+        //    transaction unfinished and compensates again. Shadow
+        //    paging allocates a fresh page for every copy-on-write
+        //    redirect, so this is real free-list work for any aborted
+        //    writer — and it can fail on a faulty backend or a poisoned
+        //    log. The locks are released either way: a compensation
+        //    failure leaks at most free pages (repaired by the next
+        //    recovery), while a leaked lock wedges every later
+        //    transaction on the same objects. A transaction that
+        //    allocated nothing has nothing to compensate or log.
+        let compensated = self.free_pages(&state.alloc_pages, Some(WalRecord::Abort { txn }));
         self.committing.lock().remove(&txn.0);
         // 4. Release locks and notify.
         self.lm.release_all(txn);
@@ -1166,15 +1170,19 @@ impl SpaceInner {
     /// One fuzzy checkpoint. The ordering is the crash-safety argument:
     ///
     /// 1. capture the low-water mark — the oldest segment any live
-    ///    (active or mid-end) transaction may still need. Transactions
-    ///    that begin or commit during the walk either anchored the mark
-    ///    or append into segments at or above it, which survive;
+    ///    (active or mid-end) transaction, or any WAL batch not yet
+    ///    synced, may still need. Transactions that begin or commit
+    ///    during the walk either anchored the mark or append into
+    ///    segments at or above it, which survive;
     /// 2. flush committed-dirty frames shard by shard (writers on other
-    ///    shards proceed — the fuzzy part) and sync the backend. Every
-    ///    redo image below the mark is now redundant;
+    ///    shards proceed — the fuzzy part) and sync the backend. A
+    ///    metadata frame whose image is not yet durable is skipped
+    ///    (WAL before data): its image is appended at or above the
+    ///    mark, by step 3 at the latest. Every redo image below the
+    ///    mark is now redundant;
     /// 3. append a checkpoint record carrying the retire backlog still
-    ///    pinned by open snapshots, and make it durable. Only *after*
-    ///    that record is on disk
+    ///    pinned by open snapshots, behind every queued batch, and make
+    ///    it durable. Only *after* that record is on disk
     /// 4. recycle the segments below the mark, then sweep retired
     ///    batches whose snapshots have drained.
     ///
@@ -1184,13 +1192,15 @@ impl SpaceInner {
     /// retries the whole sequence.
     fn checkpoint_once(&self) -> Result<()> {
         let lwm = {
+            // Metadata frames whose batch is not yet synced are skipped
+            // by the flush below; their images must stay in the log.
+            let floor = self.group.unsynced_floor(self.wal.as_ref());
             let txns = self.txns.lock();
             let committing = self.committing.lock();
             txns.values()
                 .map(|st| st.start_seg)
                 .chain(committing.values().copied())
-                .min()
-                .unwrap_or_else(|| self.wal.active_segment())
+                .fold(floor, u64::min)
         };
         self.pool.flush_committed()?;
         self.pool.sync_backend()?;
@@ -1211,17 +1221,11 @@ impl SpaceInner {
                 .flat_map(|(_, pages)| pages.iter().copied())
                 .collect()
         };
+        // The record's group also carries every batch still queued, so
+        // the images of frames the flush skipped land at or above the
+        // low-water mark and survive the recycling below.
         let record = WalRecord::Checkpoint { pending_retire }.encode();
-        if self.group_commit {
-            // Ride the group committer: honours its poisoning (never
-            // append past a possibly-torn tail) and serialises with
-            // concurrent commit batches.
-            self.group.commit(self.wal.as_ref(), &self.stats, record)?;
-        } else {
-            self.wal.append(&record)?;
-            IoStats::bump(&self.stats.wal_syncs);
-            self.wal.sync()?;
-        }
+        self.group.commit(self.wal.as_ref(), &self.stats, record)?;
         let recycled = self.wal.recycle_below(lwm)?;
         self.segments_recycled.add(recycled as u64);
         // Sweep drained retire batches online — previously they were
@@ -1232,7 +1236,7 @@ impl SpaceInner {
             let mut published = self.published.lock();
             Self::reclaimable(&mut published)
         };
-        self.free_pages(&to_reclaim)?;
+        self.free_pages(&to_reclaim, None)?;
         self.wal_live_bytes.set(self.wal.live_bytes()?);
         Ok(())
     }
@@ -2034,5 +2038,35 @@ mod tests {
         let t = sb.begin(IsolationLevel::ReadCommitted);
         let hr = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
         assert_eq!(hr.page_count(), 1);
+    }
+
+    #[test]
+    fn drop_page_cache_writes_metadata_back_and_refuses_uncommitted_frames() {
+        let sb = space();
+        let txn = sb.begin(IsolationLevel::ReadCommitted);
+        let lo = sb.create_lo(&txn).unwrap();
+        let mut h = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
+        h.write_at(0, b"cached").unwrap();
+        h.close().unwrap();
+        // Uncommitted frames cannot be written back.
+        assert!(matches!(sb.drop_page_cache(), Err(SbError::Usage(_))));
+        txn.commit().unwrap();
+        // An aborted allocation leaves free-list images queued in the
+        // WAL and dirty in the pool, not yet on the backend.
+        let doomed = sb.begin(IsolationLevel::ReadCommitted);
+        sb.create_lo(&doomed).unwrap();
+        doomed.abort().unwrap();
+        let info = sb.space_info().unwrap();
+        sb.drop_page_cache().unwrap();
+        let faults = sb.stats().snapshot().physical_reads;
+        assert_eq!(sb.space_info().unwrap(), info);
+        // The metadata came back from the backend, not from frames the
+        // drop kept.
+        assert!(sb.stats().snapshot().physical_reads > faults);
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let hr = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
+        let mut buf = [0u8; 6];
+        hr.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"cached");
     }
 }

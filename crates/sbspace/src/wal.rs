@@ -5,7 +5,9 @@
 //!
 //! * `MetaImage` — a full after-image of a *space metadata* page (the
 //!   header, free-list pages). Meta operations are system transactions:
-//!   their images are replayed unconditionally, in log order.
+//!   their images are replayed unconditionally, in log order. Metadata
+//!   pages are mostly zeros, so the image is encoded only up to its last
+//!   non-zero byte and zero-padded again on decode.
 //! * `PageImage` — a full after-image of a *data* page written by a user
 //!   transaction. Replayed only if that transaction committed (no-steal
 //!   buffering means uncommitted data images never reach the log in the
@@ -111,7 +113,8 @@ impl WalRecord {
             WalRecord::MetaImage { pid, data } => {
                 out.push(K_META);
                 out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&data[..]);
+                let used = data.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+                out.extend_from_slice(&data[..used]);
             }
             WalRecord::AllocNote { txn, pages } => {
                 out.push(K_ALLOC);
@@ -185,10 +188,17 @@ impl WalRecord {
                 pid: u32_at(8)?,
                 data: page_at(12)?,
             }),
-            K_META => Ok(WalRecord::MetaImage {
-                pid: u32_at(0)?,
-                data: page_at(4)?,
-            }),
+            K_META => {
+                // A trimmed image: whatever follows the pid, up to a page.
+                let image = rest
+                    .get(4..)
+                    .filter(|b| b.len() <= PAGE_SIZE)
+                    .ok_or_else(bad)?;
+                Ok(WalRecord::MetaImage {
+                    pid: u32_at(0)?,
+                    data: crate::page::page_from_slice(image),
+                })
+            }
             K_ALLOC => {
                 let txn = TxnId(u64_at(0)?);
                 let n = u32_at(8)? as usize;
@@ -646,32 +656,46 @@ impl WalStore for FileWal {
         self.roll_locked(&mut st)
     }
     fn recycle_below(&self, seg: u64) -> Result<usize> {
-        let mut st = self.state.lock();
-        let mut removed = 0usize;
-        st.ids.retain(|&id| {
-            if id < seg {
-                // Removal failure leaves a stale file that the next
-                // recycle retries; losing the count is worse than
-                // leaking one segment briefly.
-                if std::fs::remove_file(Self::seg_path(&self.dir, id)).is_ok() {
-                    removed += 1;
-                    return false;
-                }
-            }
-            true
-        });
+        // The ids leave the list under the lock; the unlinks run after
+        // it is released, so appends (and the commits waiting on them)
+        // never stall behind file-system work.
+        let doomed: Vec<u64> = {
+            let mut st = self.state.lock();
+            let below = st.ids.partition_point(|&id| id < seg);
+            st.ids.drain(..below).collect()
+        };
+        // Removal failure leaves a stale file that the next recycle
+        // retries: its id goes back to the front of the list (every
+        // live id is above it). Losing the count is worse than leaking
+        // one segment briefly.
+        let failed: Vec<u64> = doomed
+            .iter()
+            .copied()
+            .filter(|&id| std::fs::remove_file(Self::seg_path(&self.dir, id)).is_err())
+            .collect();
+        let removed = doomed.len() - failed.len();
+        if !failed.is_empty() {
+            let mut st = self.state.lock();
+            st.ids.splice(..0, failed);
+        }
         Ok(removed)
     }
     fn live_bytes(&self) -> Result<u64> {
-        let st = self.state.lock();
-        let mut total = st.active_len;
-        let active_id = *st.ids.last().expect("nonempty");
-        for &id in st.ids.iter().filter(|&&id| id != active_id) {
-            total += std::fs::metadata(Self::seg_path(&self.dir, id))
-                .map(|m| m.len())
-                .unwrap_or(0);
-        }
-        Ok(total)
+        // Sealed segments never change, so they are sized after the
+        // lock is released.
+        let (active_len, sealed) = {
+            let st = self.state.lock();
+            (st.active_len, st.ids[..st.ids.len() - 1].to_vec())
+        };
+        let sealed_len: u64 = sealed
+            .iter()
+            .map(|&id| {
+                std::fs::metadata(Self::seg_path(&self.dir, id))
+                    .map(|m| m.len())
+                    .unwrap_or(0)
+            })
+            .sum();
+        Ok(active_len + sealed_len)
     }
     fn appended_total(&self) -> u64 {
         self.appended.load(Ordering::Relaxed)
@@ -721,6 +745,28 @@ mod tests {
         let (got, clean) = WalRecord::decode_segment(&bytes);
         assert!(clean);
         assert_eq!(got, recs);
+    }
+
+    #[test]
+    fn meta_images_are_trimmed_and_full_images_still_decode() {
+        let mut data = page_from_slice(b"header");
+        data[100] = 9;
+        let rec = WalRecord::MetaImage { pid: 0, data };
+        // Frame (8) + kind (1) + pid (4) + the 101 bytes up to the last
+        // non-zero one.
+        assert_eq!(rec.encode().len(), 8 + 1 + 4 + 101);
+        assert_eq!(WalRecord::decode_stream(&rec.encode()), vec![rec.clone()]);
+        // A full-page image, as logs written before trimming hold.
+        let WalRecord::MetaImage { pid, data } = &rec else {
+            unreachable!()
+        };
+        let mut body = vec![K_META];
+        body.extend_from_slice(&pid.to_le_bytes());
+        body.extend_from_slice(&data[..]);
+        let mut framed = (body.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&checksum(&body).to_le_bytes());
+        framed.extend_from_slice(&body);
+        assert_eq!(WalRecord::decode_stream(&framed), vec![rec]);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! group commit (shared syncs, no-force data pages) — since the two
 //! modes take different paths to the same durability contract.
 
-use grt_sbspace::wal::{MemWal, WalStore};
+use grt_sbspace::lo::{decode_free_next, Header, Inode};
+use grt_sbspace::page::{zeroed_page, NO_PAGE};
+use grt_sbspace::wal::{MemWal, WalRecord, WalStore};
 use grt_sbspace::{
-    FaultInjector, IsolationLevel, LockMode, MemBackend, Result, SbError, Sbspace, SbspaceOptions,
-    PAGE_SIZE,
+    Backend, FaultInjector, IsolationLevel, LoId, LockMode, MemBackend, PageBuf, PageId, Result,
+    SbError, Sbspace, SbspaceOptions, PAGE_SIZE,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,8 +111,71 @@ fn uncommitted_data_vanishes_after_crash() {
     });
 }
 
+/// Creates an object holding `bytes` and commits it.
+fn committed_object(sb: &Sbspace, bytes: &[u8]) -> LoId {
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&t).unwrap();
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    h.write_at(0, bytes).unwrap();
+    h.close().unwrap();
+    t.commit().unwrap();
+    lo
+}
+
+fn assert_reads(sb: &Sbspace, lo: LoId, want: &[u8], ctx: &str) {
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
+    let mut got = vec![0u8; want.len()];
+    h.read_at(0, &mut got).unwrap();
+    assert_eq!(got, want, "{ctx}: committed bytes of {lo} lost");
+}
+
+/// Free-list accounting, read straight off a freshly recovered backend
+/// (recovery writes every replayed image through and syncs): each page
+/// below the allocation watermark other than the header is on the free
+/// list or reachable from a live object's inode — exactly once.
+fn assert_page_accounting(backend: &MemBackend, live: &[LoId], ctx: &str) {
+    let read = |pid: u32| -> Result<PageBuf> {
+        let mut p = zeroed_page();
+        backend.read_page(PageId(pid), &mut p)?;
+        Ok(p)
+    };
+    let header = Header::decode(&read(0).unwrap()).unwrap();
+    let mut holder: HashMap<u32, String> = HashMap::new();
+    let mut claim = |pid: u32, who: String| {
+        assert!(
+            pid > 0 && pid < header.total_pages,
+            "{ctx}: {who} holds page {pid}, outside 1..{}",
+            header.total_pages
+        );
+        if let Some(prev) = holder.insert(pid, who.clone()) {
+            panic!("{ctx}: page {pid} held by both {prev} and {who}");
+        }
+    };
+    let mut cursor = header.free_head;
+    while cursor != NO_PAGE {
+        claim(cursor, "the free list".into());
+        cursor = decode_free_next(&read(cursor).unwrap()).unwrap();
+    }
+    for &lo in live {
+        let inode = Inode::decode(lo, read).unwrap();
+        for pid in inode.all_pages(lo) {
+            claim(pid, lo.to_string());
+        }
+    }
+    assert_eq!(
+        holder.len() as u32,
+        header.total_pages - 1,
+        "{ctx}: pages leaked below the watermark"
+    );
+}
+
+/// Allocations are queued in the WAL without a sync of their own, so a
+/// crashed transaction's allocations exist only if a later sync covered
+/// them. Here another session commits after them, which does: recovery
+/// must free the leaked pages, and a new object must reuse them.
 #[test]
-fn crashed_allocations_are_reclaimed() {
+fn crashed_allocations_are_reclaimed_once_synced() {
     both_modes(|gc| {
         let (backend, wal) = shared();
         let sb = reopen(&backend, &wal, gc);
@@ -120,6 +186,8 @@ fn crashed_allocations_are_reclaimed() {
             h.append_page(&[1u8; PAGE_SIZE]).unwrap();
         }
         h.close().unwrap();
+        // Another session's commit syncs the queued allocation notes.
+        committed_object(&sb, b"bystander");
         std::mem::forget(t1);
         drop(sb);
 
@@ -144,6 +212,104 @@ fn crashed_allocations_are_reclaimed() {
             after.total_pages, recovered.total_pages,
             "allocation watermark grew instead of reusing freed pages (group_commit={gc})"
         );
+    });
+}
+
+/// With no sync after them, a crashed transaction's allocations never
+/// reached the log: recovery finds the watermark and the free list as
+/// they were before the transaction began.
+#[test]
+fn crashed_allocations_never_synced_leave_no_trace() {
+    both_modes(|gc| {
+        let (backend, wal) = shared();
+        let sb = reopen(&backend, &wal, gc);
+        // A non-empty free list, durable: drop a committed object and
+        // let a checkpoint sync the reclaimed pages.
+        let gone = committed_object(&sb, &[3u8; 3 * PAGE_SIZE]);
+        let t0 = sb.begin(IsolationLevel::ReadCommitted);
+        sb.drop_lo(&t0, gone).unwrap();
+        t0.commit().unwrap();
+        sb.checkpoint().unwrap();
+        let before = sb.space_info().unwrap();
+        assert!(before.free_pages > 0);
+
+        let t1 = sb.begin(IsolationLevel::ReadCommitted);
+        let doomed = sb.create_lo(&t1).unwrap();
+        let mut h = sb.open_lo(&t1, doomed, LockMode::Exclusive).unwrap();
+        for _ in 0..10 {
+            h.append_page(&[1u8; PAGE_SIZE]).unwrap();
+        }
+        h.close().unwrap();
+        std::mem::forget(t1);
+        drop(sb);
+
+        let sb2 = reopen(&backend, &wal, gc);
+        let recovered = sb2.space_info().unwrap();
+        assert_eq!(
+            (recovered.total_pages, recovered.free_pages),
+            (before.total_pages, before.free_pages),
+            "unsynced allocations left a trace (group_commit={gc})"
+        );
+    });
+}
+
+// ---------------------------------------------------------------------
+// Crashes at the durability boundaries of queued metadata
+// ---------------------------------------------------------------------
+
+/// A crash after a transaction's allocations are queued but before it
+/// commits: the committed object it was rewriting (shadow paging moved
+/// the rewrite to a fresh page) and the free list come back exact.
+#[test]
+fn crash_after_queued_allocation_before_commit() {
+    both_modes(|gc| {
+        let (backend, wal) = shared();
+        let sb = reopen(&backend, &wal, gc);
+        let base = committed_object(&sb, &[5u8; 2 * PAGE_SIZE]);
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let mut h = sb.open_lo(&t, base, LockMode::Exclusive).unwrap();
+        h.write_at(0, b"never committed").unwrap();
+        h.close().unwrap();
+        let doomed = sb.create_lo(&t).unwrap();
+        let mut h = sb.open_lo(&t, doomed, LockMode::Exclusive).unwrap();
+        h.write_at(0, &[9u8; 3 * PAGE_SIZE]).unwrap();
+        h.close().unwrap();
+        std::mem::forget(t);
+        drop(sb);
+
+        let sb2 = reopen(&backend, &wal, gc);
+        let ctx = format!("group_commit={gc}");
+        assert_page_accounting(&backend, &[base], &ctx);
+        assert_reads(&sb2, base, &[5u8; 2 * PAGE_SIZE], &ctx);
+    });
+}
+
+/// A crash after a commit is durable but before its post-commit
+/// reclamation (the superseded pages going back on the free list) is
+/// synced: the commit's retire note makes recovery free them.
+#[test]
+fn crash_after_commit_before_reclaim_is_synced() {
+    both_modes(|gc| {
+        let (backend, wal) = shared();
+        let sb = reopen(&backend, &wal, gc);
+        let base = committed_object(&sb, &[1u8; 3 * PAGE_SIZE]);
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let mut h = sb.open_lo(&t, base, LockMode::Exclusive).unwrap();
+        h.write_at(0, &[2u8; 3 * PAGE_SIZE]).unwrap();
+        h.close().unwrap();
+        t.commit().unwrap();
+        // The reclamation is queued behind the commit, not yet logged.
+        let logged = WalRecord::decode_stream(&wal.read_all().unwrap());
+        assert!(
+            matches!(logged.last(), Some(WalRecord::Commit { .. })),
+            "the reclaim batch was synced with the commit (group_commit={gc})"
+        );
+        drop(sb);
+
+        let sb2 = reopen(&backend, &wal, gc);
+        let ctx = format!("group_commit={gc}");
+        assert_page_accounting(&backend, &[base], &ctx);
+        assert_reads(&sb2, base, &[2u8; 3 * PAGE_SIZE], &ctx);
     });
 }
 
@@ -456,4 +622,40 @@ fn torn_group_batch_is_fully_absent_after_crash() {
         }
     }
     assert!(failures > 0, "the torn append failed no transaction");
+}
+
+/// A crash after a group flush failed and poisoned the log: the failed
+/// transaction and everything queued behind it are absent, later
+/// allocations fail fast instead of queueing past the torn tail, and
+/// recovery restores the committed state with exact page accounting.
+#[test]
+fn crash_after_poisoned_group_flush() {
+    both_modes(|gc| {
+        let backend = Arc::new(MemBackend::new());
+        let wal = Arc::new(TearingWal::new());
+        let open = || Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
+        let sb = open();
+        let base = committed_object(&sb, b"base");
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let mut h = sb.open_lo(&t, base, LockMode::Exclusive).unwrap();
+        h.write_at(0, b"torn").unwrap();
+        h.close().unwrap();
+        wal.arm();
+        assert!(t.commit().is_err(), "the torn flush must fail the commit");
+        let later = sb.begin(IsolationLevel::ReadCommitted);
+        assert!(
+            sb.create_lo(&later).is_err(),
+            "an allocation queued past a poisoned log (group_commit={gc})"
+        );
+        drop(later);
+        drop(sb);
+
+        let sb2 = open();
+        let ctx = format!("group_commit={gc}");
+        assert_page_accounting(&backend, &[base], &ctx);
+        assert_reads(&sb2, base, b"base", &ctx);
+        // The recovered space commits again.
+        let lo = committed_object(&sb2, b"after");
+        assert_reads(&sb2, lo, b"after", &ctx);
+    });
 }
