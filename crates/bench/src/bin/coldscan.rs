@@ -30,8 +30,8 @@
 //! for the real evidence that the machinery engaged.
 
 use grt_bench::trailer::CostTrailer;
-use grt_grtree::{bulk, parallel_scan, GrTree, GrTreeOptions, LeafEntry};
-use grt_sbspace::{IsolationLevel, LoId, LockMode, Sbspace, SbspaceOptions, PAGE_SIZE};
+use grt_grtree::{bulk, GrProbe, GrTree, GrTreeOptions, LeafEntry};
+use grt_sbspace::{IsolationLevel, LoId, LockMode, Sbspace, SbspaceOptions, SearchTree, PAGE_SIZE};
 use grt_temporal::{Day, Predicate, TimeExtent, TtEnd, VtEnd};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -150,7 +150,6 @@ fn cold_pass(dir: &Path, lo_id: LoId, prefetch_workers: usize, reps: usize) -> C
     let txn = sb.begin(IsolationLevel::ReadCommitted);
     let handle = sb.open_lo(&txn, lo_id, LockMode::Shared).unwrap();
     let tree = GrTree::open(handle).unwrap();
-    let reader = tree.reader();
     let query = full_range();
     let mut trailer = CostTrailer::new(sb.metrics());
 
@@ -160,7 +159,9 @@ fn cold_pass(dir: &Path, lo_id: LoId, prefetch_workers: usize, reps: usize) -> C
         sb.drop_page_cache()
             .expect("no uncommitted writes during the scan");
         let start = Instant::now();
-        let out = parallel_scan(&reader, Predicate::Overlaps, query, CT, 2).unwrap();
+        let out = tree
+            .parallel_scan(&GrProbe::new(Predicate::Overlaps, query, CT), 2)
+            .unwrap();
         let ns = start.elapsed().as_nanos() as f64;
         rows = out.rows.len();
         best_ns = best_ns.min(ns);
@@ -182,14 +183,17 @@ fn cold_pass(dir: &Path, lo_id: LoId, prefetch_workers: usize, reps: usize) -> C
     sb.drop_page_cache()
         .expect("no uncommitted writes during the scan");
     let before = sb.stats().snapshot();
-    parallel_scan(&reader, Predicate::Overlaps, query, CT, 2).unwrap();
+    tree.parallel_scan(&GrProbe::new(Predicate::Overlaps, query, CT), 2)
+        .unwrap();
     sb.prefetch_quiesce();
     let cold = sb.stats().snapshot().since(&before);
     sb.drop_page_cache()
         .expect("no uncommitted writes during the scan");
     let mid = sb.stats().snapshot();
     for _ in 0..3 {
-        let narrow = parallel_scan(&reader, Predicate::Overlaps, selective(), CT, 2).unwrap();
+        let narrow = tree
+            .parallel_scan(&GrProbe::new(Predicate::Overlaps, selective(), CT), 2)
+            .unwrap();
         assert!(
             !narrow.rows.is_empty(),
             "the selective query matched nothing"
@@ -204,8 +208,7 @@ fn cold_pass(dir: &Path, lo_id: LoId, prefetch_workers: usize, reps: usize) -> C
     };
     println!("{}", CostTrailer::line(&label, &trailer.phase()));
 
-    let tree_pages = reader.pages();
-    drop(reader);
+    let tree_pages = tree.pages();
     drop(tree);
     drop(txn);
     ColdPass {

@@ -16,6 +16,7 @@ use grt_ids::engine::Connection;
 use grt_ids::{Database, DatabaseOptions};
 use grt_rstar::bitemporal::NowStrategy;
 use grt_rstar::{Rect2, SpatialPredicate};
+use grt_sbspace::SearchTree;
 use grt_temporal::{
     bound_entries, Case, Day, MockClock, Predicate, RegionSpec, TimeExtent, TtEnd, VtEnd,
 };
@@ -272,7 +273,7 @@ fn fig3() {
     for (i, r) in data.iter().enumerate() {
         tree.insert(*r, i as u64).unwrap();
     }
-    let root = tree.read_node(tree.root_page()).unwrap();
+    let root = tree.read_node(tree.root()).unwrap();
     let mut t = Table::new(&["node", "MBR", "entries", "dead space", "overlap"]);
     for (i, e) in root.entries.iter().enumerate() {
         let child = tree.read_node(e.payload as u32).unwrap();
@@ -453,7 +454,7 @@ fn fig5() {
         tree.insert(e, 100 + i as u64, ct).unwrap();
     }
     tree.check(ct).unwrap();
-    dump_gr(&tree, tree.root_page(), 0, ct);
+    dump_gr(&tree, tree.root(), 0, ct);
     let q = tree.quality(ct).unwrap();
     println!(
         "\nbounds: {} stair, {} hidden, {} growing-rectangle (of {} internal entries)",
@@ -589,7 +590,8 @@ fn table4() {
             "Access method purpose functions",
             "high",
             "1020",
-            loc(include_str!("../../../blade/src/grtree_am.rs")),
+            loc(include_str!("../../../blade/src/grtree_am.rs"))
+                + loc(include_str!("../../../blade/src/tree_am.rs")),
         ),
         (
             "BLOB manipulation functions",
@@ -609,7 +611,8 @@ fn table4() {
             "n/a",
             loc(include_str!("../../../grtree/src/tree.rs"))
                 + loc(include_str!("../../../grtree/src/entry.rs"))
-                + loc(include_str!("../../../grtree/src/cursor.rs")),
+                + loc(include_str!("../../../grtree/src/search.rs"))
+                + loc(include_str!("../../../sbspace/src/search.rs")),
         ),
     ];
     let mut t = Table::new(&["Task", "Paper complexity", "Paper LOC", "This repo LOC"]);

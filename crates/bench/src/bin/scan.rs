@@ -26,7 +26,8 @@
 //! beefier runner can only ever look better than the baseline.
 
 use grt_bench::fixtures::fresh_lo;
-use grt_grtree::{bulk, parallel_scan, GrTree, GrTreeOptions, LeafEntry};
+use grt_grtree::{bulk, GrProbe, GrTree, GrTreeOptions, LeafEntry};
+use grt_sbspace::SearchTree;
 use grt_temporal::{Day, Predicate, TimeExtent, TtEnd, VtEnd};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -116,11 +117,10 @@ fn main() {
     ];
 
     let tree = build_fixture(SCAN_ENTRIES);
-    let reader = tree.reader();
     println!(
         "GR-tree fixture: {SCAN_ENTRIES} entries, {} pages, height {}",
-        reader.pages(),
-        reader.height()
+        tree.pages(),
+        tree.height()
     );
 
     let mut json = String::from("{\n");
@@ -133,7 +133,9 @@ fn main() {
             let mut rows = 0usize;
             for _ in 0..reps {
                 let start = Instant::now();
-                let out = parallel_scan(&reader, Predicate::Overlaps, cfg.query, CT, w).unwrap();
+                let out = tree
+                    .parallel_scan(&GrProbe::new(Predicate::Overlaps, cfg.query, CT), w)
+                    .unwrap();
                 let ns = start.elapsed().as_nanos() as f64;
                 rows = out.rows.len();
                 if ns < best_ns {

@@ -319,7 +319,7 @@ fn run(
     Measured {
         stmt_per_sec: issued as f64 / elapsed.as_secs_f64(),
         statements: issued,
-        deadlocks: diff.get("lock.deadlocks"),
+        deadlocks: diff.get("sbspace.deadlocks"),
         retries: diff.get("stmt.retries"),
         diff,
     }

@@ -42,6 +42,15 @@ pub fn extent_from_value(v: &Value) -> Result<TimeExtent, IdsError> {
     }
 }
 
+/// The time extent in an indexed row's key column (the first value an
+/// index purpose function is handed).
+pub(crate) fn key_extent(row: &[Value]) -> Result<TimeExtent, IdsError> {
+    extent_from_value(
+        row.first()
+            .ok_or_else(|| IdsError::AccessMethod("indexed row has no key column".into()))?,
+    )
+}
+
 /// Encodes a [`TimeExtent`] as a `GRT_TimeExtent_t` value.
 pub fn extent_to_value(e: &TimeExtent) -> Value {
     Value::Opaque {

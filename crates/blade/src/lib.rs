@@ -42,12 +42,14 @@ pub mod grtree_am;
 pub mod qual;
 pub mod register;
 pub mod rstar_am;
+pub mod tree_am;
 
 pub use curtime::CurrentTimePolicy;
 pub use extent_type::{extent_from_value, extent_to_value, grt_time_extent_type, TYPE_NAME};
-pub use grtree_am::{DeletePolicy, GrTreeAm, GrTreeAmOptions};
+pub use grtree_am::{GrTreeAm, GrTreeAmOptions};
 pub use register::{
     install_grtree_blade, install_rstar_blade, registration_script, uninstall_grtree_blade,
     unregistration_script,
 };
 pub use rstar_am::RStarBitemporalAm;
+pub use tree_am::DeletePolicy;

@@ -220,18 +220,21 @@ pub fn install_grtree_blade(db: &Database, opts: GrTreeAmOptions) -> Result<Stri
     Ok(script)
 }
 
+/// The purpose functions the baseline R\*-tree access method declares.
+const RST_PURPOSE_FUNCTIONS: [&str; 5] = [
+    "rst_create",
+    "rst_drop",
+    "rst_build",
+    "rst_getnext",
+    "rst_getnext_batch",
+];
+
 /// The registration script for the baseline R\*-tree access method over
 /// the same opaque type.
 pub fn rstar_registration_script() -> String {
     let mut s = String::new();
     s.push_str("-- R*-tree baseline access method registration script\n");
-    for f in [
-        "rst_create",
-        "rst_drop",
-        "rst_build",
-        "rst_getnext",
-        "rst_getnext_batch",
-    ] {
+    for f in RST_PURPOSE_FUNCTIONS {
         s.push_str(&format!(
             "CREATE FUNCTION {f}(pointer) RETURNING int \
              EXTERNAL NAME 'usr/functions/rstar.bld({f})' LANGUAGE c;\n"
@@ -270,13 +273,7 @@ pub fn install_rstar_blade(
             ))?;
         }
     }
-    for f in [
-        "rst_create",
-        "rst_drop",
-        "rst_build",
-        "rst_getnext",
-        "rst_getnext_batch",
-    ] {
+    for f in RST_PURPOSE_FUNCTIONS {
         db.install_symbol(&format!("usr/functions/rstar.bld({f})"), purpose_stub(f));
     }
     db.install_library(

@@ -6,12 +6,14 @@
 //! probes test bounding rectangles only, so every candidate must be
 //! **refined**: the base row is fetched and the exact bitemporal
 //! predicate evaluated. The extra base-table fetches per false positive
-//! are precisely the overhead the GR-tree eliminates.
+//! are precisely the overhead the GR-tree eliminates. Index state,
+//! scans and restarts come from the shared [`tree_am`]
+//! adaptor.
 
 use crate::curtime::{resolve_current_time, CurrentTimePolicy};
-use crate::extent_type::{extent_from_value, extent_to_value, TYPE_NAME};
-use crate::grtree_am::scan_degree;
-use crate::qual::{decompose, eval_full, Probe};
+use crate::extent_type::{extent_from_value, extent_to_value, key_extent, TYPE_NAME};
+use crate::qual::{eval_full, Probe};
+use crate::tree_am::{self, am_err, DeletePolicy, Row, TreeAm, View};
 use grt_ids::heap;
 use grt_ids::{
     AccessMethod, AmContext, DataType, IdsError, IndexDescriptor, QualDescriptor, RowId,
@@ -19,10 +21,9 @@ use grt_ids::{
 };
 use grt_metrics::TreeMetrics;
 use grt_rstar::bitemporal::NowStrategy;
-use grt_rstar::{RStarCursor, RStarOptions, RStarTree, RStarTreeReader, SpatialPredicate};
-use grt_sbspace::{LoId, LockMode, PageSource};
-use grt_temporal::{Day, Predicate};
-use std::collections::HashSet;
+use grt_rstar::{RStarError, RStarOptions, RStarTree, RStarTreeReader, Rect2, RectProbe};
+use grt_sbspace::{LoHandle, LoId, LoReader, LockMode, PageSource, ParallelScanStats, SearchTree};
+use grt_temporal::Day;
 
 /// The baseline access method.
 pub struct RStarBitemporalAm {
@@ -45,21 +46,8 @@ impl RStarBitemporalAm {
     }
 }
 
-/// Index scans on trees at least this many pages go parallel when the
-/// effective degree exceeds one (same gate as the GR-tree blade).
-const PARALLEL_PAGE_THRESHOLD: u32 = 32;
-
-struct ScanState {
-    probes: Vec<Probe>,
-    current: usize,
-    cursor: Option<RStarCursor>,
-    /// Merged parallel candidates for the current probe, handed out
-    /// from the back (refinement still happens per candidate below).
-    buffer: Option<Vec<(grt_rstar::Rect2, u64)>>,
-    /// Requested parallel degree (resolved at `am_beginscan`).
-    workers: usize,
-    qual: QualDescriptor,
-    seen: HashSet<u64>,
+/// The refinement side of one scan.
+pub(crate) struct Refinement {
     /// The base table for refinement fetches: an S-locked handle on the
     /// locked path, a frozen page-table view on the snapshot path.
     heap: Box<dyn PageSource + Send>,
@@ -68,88 +56,92 @@ struct ScanState {
     /// metric the benchmarks report.
     candidates: u64,
     matches: u64,
-    /// Frozen-view reader when the statement runs on a space snapshot
-    /// (no BLOB lock). Lives in the scan — not in "td" — so it is
-    /// released with the statement, never pinning retired pages past
-    /// `am_endscan`.
-    reader: Option<RStarTreeReader>,
 }
 
-struct TdState {
-    lo: LoId,
-    mode: LockMode,
-    tree: Option<RStarTree>,
-    ct: Day,
-    scan: Option<ScanState>,
-}
+impl TreeAm for RStarBitemporalAm {
+    type Tree = RStarTree;
+    type Reader = RStarTreeReader;
+    type Probe = RectProbe;
+    type Error = RStarError;
+    type Scan = Refinement;
+    type Seen = u64;
+    const METRICS: &'static str = "rstar";
 
-fn rs_err(e: grt_rstar::RStarError) -> IdsError {
-    IdsError::AccessMethod(e.to_string())
+    fn open_tree(handle: LoHandle) -> Result<RStarTree, RStarError> {
+        RStarTree::open(handle)
+    }
+    fn into_lo(tree: RStarTree) -> Result<LoHandle, RStarError> {
+        tree.into_lo()
+    }
+    fn set_metrics(tree: &mut RStarTree, metrics: TreeMetrics) {
+        tree.set_metrics(metrics);
+    }
+    fn open_reader(lo: LoReader, metrics: TreeMetrics) -> Result<RStarTreeReader, RStarError> {
+        RStarTreeReader::open(lo, metrics)
+    }
+
+    fn probe(&self, probe: &Probe, ct: Day) -> RectProbe {
+        self.strategy.probe(probe.pred, &probe.query, ct)
+    }
+
+    fn seen(&(_, rowid): &(Rect2, u64)) -> u64 {
+        rowid
+    }
+
+    /// Refinement: fetch the base row and apply the exact bitemporal
+    /// predicate.
+    fn accept(
+        &self,
+        scan: &mut Refinement,
+        qual: &QualDescriptor,
+        (_, rowid): (Rect2, u64),
+        ct: Day,
+    ) -> Result<Option<Row>, IdsError> {
+        scan.candidates += 1;
+        let heap_src: &(dyn PageSource + Send) = scan.heap.as_ref();
+        let Some(row) = heap::fetch(&heap_src, RowId(rowid))? else {
+            return Ok(None);
+        };
+        let stored = extent_from_value(&row[scan.column_pos])?;
+        if !eval_full(qual, &stored, ct)? {
+            return Ok(None);
+        }
+        scan.matches += 1;
+        Ok(Some((RowId(rowid), vec![extent_to_value(&stored)])))
+    }
+
+    fn trace_parallel(&self, ctx: &AmContext, stats: &ParallelScanStats, rows: usize) {
+        ctx.trace.emit_with("RSTAR", 2, || {
+            format!(
+                "parallel scan: degree {}, {} frontier subtrees, {rows} candidates",
+                stats.workers, stats.frontier
+            )
+        });
+    }
+
+    /// The root MBR against the probes' grounded query rectangles.
+    fn coverage(
+        &self,
+        tree: View<'_, Self>,
+        probes: &[Probe],
+        ct: Day,
+    ) -> Result<Option<(i128, i128)>, IdsError> {
+        let mbr = match tree {
+            View::Locked(t) => t.root_mbr(),
+            View::Frozen(r) => r.root_mbr(),
+        }
+        .map_err(am_err)?;
+        Ok(mbr.map(|b| {
+            let overlap = probes
+                .iter()
+                .map(|p| b.overlap_area(&self.strategy.query_rect(&p.query, ct)))
+                .sum();
+            (b.area(), overlap)
+        }))
+    }
 }
 
 impl RStarBitemporalAm {
-    fn with_td<R>(
-        &self,
-        idx: &IndexDescriptor,
-        ctx: &AmContext,
-        f: impl FnOnce(&mut TdState) -> Result<R, IdsError>,
-    ) -> Result<R, IdsError> {
-        let mut guard = idx.user_data.lock();
-        if guard.is_none() {
-            let lo = {
-                let frags = ctx.fragments.lock();
-                LoId(*frags.get(&idx.index_name).ok_or_else(|| {
-                    IdsError::AccessMethod(format!("index {} has no fragment", idx.index_name))
-                })?)
-            };
-            *guard = Some(Box::new(TdState {
-                lo,
-                mode: LockMode::Shared,
-                tree: None,
-                ct: ctx.clock.today(),
-                scan: None,
-            }));
-        }
-        let td = guard
-            .as_mut()
-            .and_then(|b| b.downcast_mut::<TdState>())
-            .ok_or_else(|| IdsError::AccessMethod("foreign index state".into()))?;
-        f(td)
-    }
-
-    fn ensure_tree(&self, td: &mut TdState, ctx: &AmContext, write: bool) -> Result<(), IdsError> {
-        let need = if write {
-            LockMode::Exclusive
-        } else {
-            LockMode::Shared
-        };
-        if td.tree.is_some() && (td.mode == LockMode::Exclusive || need == LockMode::Shared) {
-            return Ok(());
-        }
-        if let Some(tree) = td.tree.take() {
-            tree.into_lo().map_err(rs_err)?.close()?;
-        }
-        let handle = ctx.space.open_lo(ctx.txn, td.lo, need)?;
-        let mut tree = RStarTree::open(handle).map_err(rs_err)?;
-        tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "rstar"));
-        td.tree = Some(tree);
-        td.mode = need;
-        Ok(())
-    }
-
-    /// The rectangle-level probe for a bitemporal probe.
-    fn spatial_probe(&self, probe: &Probe, ct: Day) -> (SpatialPredicate, grt_rstar::Rect2) {
-        let rect = self.strategy.query_rect(&probe.query, ct);
-        // Only Contains (uncommuted) can use a stronger rectangle test;
-        // everything else must fall back to overlap to avoid false
-        // negatives.
-        let pred = match probe.pred {
-            Predicate::Contains => SpatialPredicate::Contains,
-            _ => SpatialPredicate::Overlap,
-        };
-        (pred, rect)
-    }
-
     fn table_info(idx: &IndexDescriptor) -> Result<(LoId, usize), IdsError> {
         let lo = idx
             .params
@@ -163,124 +155,6 @@ impl RStarBitemporalAm {
             .unwrap_or(0);
         Ok((LoId(lo), pos))
     }
-
-    /// One refined row off the scan, shared by `rst_getnext` and
-    /// `rst_getnext_batch`; the caller already holds the descriptor
-    /// lock via [`Self::with_td`].
-    fn scan_step(
-        &self,
-        idx: &IndexDescriptor,
-        td: &mut TdState,
-        ctx: &AmContext,
-    ) -> Result<Option<(RowId, Vec<Value>)>, IdsError> {
-        // A snapshot scan never touches the locked tree; everything it
-        // needs lives in the scan state's frozen reader.
-        let on_snapshot = td.scan.as_ref().is_some_and(|s| s.reader.is_some());
-        if !on_snapshot {
-            self.ensure_tree(td, ctx, false)?;
-        }
-        let ct = td.ct;
-        let tree = td.tree.as_ref();
-        let scan = td
-            .scan
-            .as_mut()
-            .ok_or_else(|| IdsError::AccessMethod("getnext without beginscan".into()))?;
-        loop {
-            if scan.cursor.is_none() && scan.buffer.is_none() {
-                let Some(probe) = scan.probes.get(scan.current) else {
-                    return Ok(None);
-                };
-                let (pred, rect) = self.spatial_probe(probe, ct);
-                let pages = match &scan.reader {
-                    Some(r) => r.pages(),
-                    None => tree.expect("ensured").pages(),
-                };
-                if scan.workers > 1 && pages >= PARALLEL_PAGE_THRESHOLD {
-                    let locked_view;
-                    let reader = match &scan.reader {
-                        Some(r) => r,
-                        None => {
-                            locked_view = tree.expect("ensured").reader();
-                            &locked_view
-                        }
-                    };
-                    let result = grt_rstar::parallel_scan(reader, pred, rect, scan.workers)
-                        .map_err(rs_err)?;
-                    let metrics = ctx.space.metrics();
-                    metrics.counter("scan.parallel_scans").inc();
-                    let worker_ns = metrics.histogram("scan.parallel_worker_ns");
-                    for &ns in &result.stats.worker_ns {
-                        worker_ns.observe_ns(ns);
-                    }
-                    ctx.trace.emit_with("RSTAR", 2, || {
-                        format!(
-                            "parallel scan: degree {}, {} frontier subtrees, {} candidates",
-                            result.stats.workers,
-                            result.stats.frontier,
-                            result.rows.len()
-                        )
-                    });
-                    ctx.trace.emit_with("EXPLAIN", 1, || {
-                        format!(
-                            "parallel index scan on {}: degree {} (requested {})",
-                            idx.index_name, result.stats.workers, scan.workers
-                        )
-                    });
-                    let mut rows = result.rows;
-                    rows.reverse();
-                    scan.buffer = Some(rows);
-                } else {
-                    if scan.workers > 1 {
-                        ctx.space.metrics().counter("scan.parallel_fallbacks").inc();
-                    }
-                    scan.cursor = Some(match &scan.reader {
-                        Some(r) => r.cursor(pred, rect),
-                        None => tree.expect("ensured").cursor(pred, rect),
-                    });
-                }
-            }
-            let next = if let Some(buf) = scan.buffer.as_mut() {
-                let popped = buf.pop();
-                if popped.is_none() {
-                    scan.buffer = None;
-                }
-                popped
-            } else {
-                let cursor = scan.cursor.as_mut().expect("just set");
-                let stepped = match &scan.reader {
-                    Some(r) => r.cursor_next(cursor),
-                    None => tree.expect("ensured").cursor_next(cursor),
-                }
-                .map_err(rs_err)?;
-                if stepped.is_none() {
-                    scan.cursor = None;
-                }
-                stepped
-            };
-            match next {
-                None => {
-                    scan.current += 1;
-                }
-                Some((_rect, rowid)) => {
-                    if !scan.seen.insert(rowid) {
-                        continue;
-                    }
-                    // Refinement: fetch the base row and apply the
-                    // exact bitemporal predicate.
-                    scan.candidates += 1;
-                    let heap_src: &(dyn PageSource + Send) = scan.heap.as_ref();
-                    let Some(row) = heap::fetch(&heap_src, RowId(rowid))? else {
-                        continue;
-                    };
-                    let stored = extent_from_value(&row[scan.column_pos])?;
-                    if eval_full(&scan.qual, &stored, ct)? {
-                        scan.matches += 1;
-                        return Ok(Some((RowId(rowid), vec![extent_to_value(&stored)])));
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl AccessMethod for RStarBitemporalAm {
@@ -293,57 +167,23 @@ impl AccessMethod for RStarBitemporalAm {
                 )))
             }
         }
-        let lo = ctx.space.create_lo(ctx.txn)?;
-        ctx.fragments.lock().insert(idx.index_name.clone(), lo.0);
-        let handle = ctx.space.open_lo(ctx.txn, lo, LockMode::Exclusive)?;
-        let mut tree = RStarTree::create(handle, self.tree_opts).map_err(rs_err)?;
-        tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "rstar"));
-        *idx.user_data.lock() = Some(Box::new(TdState {
-            lo,
-            mode: LockMode::Exclusive,
-            tree: Some(tree),
-            ct: resolve_current_time(self.curtime, ctx),
-            scan: None,
-        }));
-        Ok(())
+        let ct = resolve_current_time(self.curtime, ctx);
+        tree_am::create::<Self>(idx, ctx, ct, |handle| {
+            RStarTree::create(handle, self.tree_opts)
+        })
     }
 
     fn am_drop(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        if let Some(boxed) = idx.user_data.lock().take() {
-            if let Ok(td) = boxed.downcast::<TdState>() {
-                if let Some(tree) = td.tree {
-                    tree.into_lo().map_err(rs_err)?.close()?;
-                }
-            }
-        }
-        if let Some(lo) = ctx.fragments.lock().remove(&idx.index_name) {
-            ctx.space.drop_lo(ctx.txn, LoId(lo))?;
-        }
-        Ok(())
+        tree_am::drop_index::<Self>(idx, ctx).map(drop)
     }
 
     fn am_open(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
         let ct = resolve_current_time(self.curtime, ctx);
-        self.with_td(idx, ctx, |td| {
-            td.ct = ct;
-            // Snapshot statements never open the BLOB here — the scan
-            // mounts the frozen view at rst_beginscan, lock-free.
-            if td.tree.is_none() && ctx.snapshot.is_none() {
-                self.ensure_tree(td, ctx, false)?;
-            }
-            Ok(())
-        })
+        tree_am::open::<Self>(idx, ctx, ct).map(drop)
     }
 
     fn am_close(&self, idx: &IndexDescriptor, _ctx: &AmContext) -> Result<(), IdsError> {
-        if let Some(boxed) = idx.user_data.lock().take() {
-            if let Ok(td) = boxed.downcast::<TdState>() {
-                if let Some(tree) = td.tree {
-                    tree.into_lo().map_err(rs_err)?.close()?;
-                }
-            }
-        }
-        Ok(())
+        tree_am::close::<Self>(idx).map(drop)
     }
 
     fn am_beginscan(
@@ -352,9 +192,6 @@ impl AccessMethod for RStarBitemporalAm {
         scan: &mut ScanDescriptor,
         ctx: &AmContext,
     ) -> Result<(), IdsError> {
-        let probes = decompose(&scan.qual)?;
-        let qual = scan.qual.clone();
-        let workers = scan_degree(idx, ctx);
         let (table_lo, column_pos) = Self::table_info(idx)?;
         // The refinement heap: frozen view on the snapshot path (no
         // LO-level S lock), locked handle otherwise.
@@ -362,36 +199,13 @@ impl AccessMethod for RStarBitemporalAm {
             Some(snap) => Box::new(snap.reader(table_lo)?),
             None => Box::new(ctx.space.open_lo(ctx.txn, table_lo, LockMode::Shared)?),
         };
-        self.with_td(idx, ctx, |td| {
-            let reader = match ctx.snapshot.as_deref() {
-                Some(snap) => Some(
-                    RStarTreeReader::open(
-                        snap.reader(td.lo)?,
-                        TreeMetrics::registered(&ctx.space.metrics(), "rstar"),
-                    )
-                    .map_err(rs_err)?,
-                ),
-                None => {
-                    self.ensure_tree(td, ctx, false)?;
-                    None
-                }
-            };
-            td.scan = Some(ScanState {
-                probes,
-                current: 0,
-                cursor: None,
-                buffer: None,
-                workers,
-                qual,
-                seen: HashSet::new(),
-                heap,
-                column_pos,
-                candidates: 0,
-                matches: 0,
-                reader,
-            });
-            Ok(())
-        })
+        let refinement = Refinement {
+            heap,
+            column_pos,
+            candidates: 0,
+            matches: 0,
+        };
+        tree_am::beginscan::<Self>(idx, &scan.qual, ctx, refinement).map(drop)
     }
 
     fn am_rescan(
@@ -400,15 +214,7 @@ impl AccessMethod for RStarBitemporalAm {
         _scan: &mut ScanDescriptor,
         ctx: &AmContext,
     ) -> Result<(), IdsError> {
-        self.with_td(idx, ctx, |td| {
-            if let Some(scan) = td.scan.as_mut() {
-                scan.cursor = None;
-                scan.buffer = None;
-                scan.current = 0;
-                scan.seen.clear();
-            }
-            Ok(())
-        })
+        tree_am::rescan::<Self>(idx, ctx)
     }
 
     fn am_getnext(
@@ -417,7 +223,7 @@ impl AccessMethod for RStarBitemporalAm {
         _scan: &mut ScanDescriptor,
         ctx: &AmContext,
     ) -> Result<Option<(RowId, Vec<Value>)>, IdsError> {
-        self.with_td(idx, ctx, |td| self.scan_step(idx, td, ctx))
+        Ok(tree_am::getnext_batch(self, idx, ctx, 1)?.pop())
     }
 
     fn am_getnext_batch(
@@ -427,18 +233,7 @@ impl AccessMethod for RStarBitemporalAm {
         max_rows: usize,
         ctx: &AmContext,
     ) -> Result<Vec<(RowId, Vec<Value>)>, IdsError> {
-        // One descriptor-lock acquisition per batch of refined rows; a
-        // short batch tells the executor the scan is exhausted.
-        self.with_td(idx, ctx, |td| {
-            let mut out = Vec::with_capacity(max_rows.min(64));
-            while out.len() < max_rows {
-                match self.scan_step(idx, td, ctx)? {
-                    Some(hit) => out.push(hit),
-                    None => break,
-                }
-            }
-            Ok(out)
-        })
+        tree_am::getnext_batch(self, idx, ctx, max_rows)
     }
 
     fn am_endscan(
@@ -447,17 +242,15 @@ impl AccessMethod for RStarBitemporalAm {
         _scan: &mut ScanDescriptor,
         ctx: &AmContext,
     ) -> Result<(), IdsError> {
-        self.with_td(idx, ctx, |td| {
-            if let Some(scan) = td.scan.take() {
-                ctx.trace.emit_with("RSTAR", 2, || {
-                    format!(
-                        "scan finished: {} candidates, {} matches",
-                        scan.candidates, scan.matches
-                    )
-                });
-            }
-            Ok(())
-        })
+        if let Some(scan) = tree_am::endscan::<Self>(idx, ctx)? {
+            ctx.trace.emit_with("RSTAR", 2, || {
+                format!(
+                    "scan finished: {} candidates, {} matches",
+                    scan.candidates, scan.matches
+                )
+            });
+        }
+        Ok(())
     }
 
     fn am_insert(
@@ -467,18 +260,10 @@ impl AccessMethod for RStarBitemporalAm {
         rowid: RowId,
         ctx: &AmContext,
     ) -> Result<(), IdsError> {
-        let extent = extent_from_value(
-            row.first()
-                .ok_or_else(|| IdsError::AccessMethod("no key column".into()))?,
-        )?;
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            let rect = self.strategy.to_rect(&extent, td.ct);
-            td.tree
-                .as_mut()
-                .expect("ensured")
-                .insert(rect, rowid.0)
-                .map_err(rs_err)
+        let extent = key_extent(row)?;
+        tree_am::with_tree::<Self, _>(idx, ctx, true, |tree, ct| {
+            let rect = self.strategy.to_rect(&extent, ct);
+            tree.insert(rect, rowid.0).map_err(am_err)
         })
     }
 
@@ -488,32 +273,23 @@ impl AccessMethod for RStarBitemporalAm {
         rows: &[(RowId, Vec<Value>)],
         ctx: &AmContext,
     ) -> Result<bool, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            let ct = td.ct;
-            let mut pairs = Vec::with_capacity(rows.len());
-            for (rid, keys) in rows {
-                let extent = extent_from_value(
-                    keys.first()
-                        .ok_or_else(|| IdsError::AccessMethod("no key column".into()))?,
-                )?;
-                pairs.push((self.strategy.to_rect(&extent, ct), rid.0));
-            }
-            let tree = td.tree.take().expect("ensured");
-            let mut handle = tree.into_lo().map_err(rs_err)?;
-            // rst_create already initialised an empty tree in the BLOB;
-            // the packed build replaces it wholesale.
-            handle.truncate_pages(0)?;
-            let mut tree =
-                grt_rstar::bulk_load_pairs(handle, &pairs, self.tree_opts).map_err(rs_err)?;
-            tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "rstar"));
-            td.tree = Some(tree);
-            td.mode = LockMode::Exclusive;
-            ctx.trace.emit_with("RSTAR", 2, || {
-                format!("bulk build: {} entries packed", pairs.len())
-            });
-            Ok(true)
-        })
+        let mut extents = Vec::with_capacity(rows.len());
+        for (rid, keys) in rows {
+            extents.push((key_extent(keys)?, rid.0));
+        }
+        // rst_create already initialised an empty tree in the BLOB; the
+        // packed build replaces it wholesale.
+        tree_am::build::<Self>(idx, ctx, |handle, ct| {
+            let pairs: Vec<(Rect2, u64)> = extents
+                .iter()
+                .map(|(extent, rowid)| (self.strategy.to_rect(extent, ct), *rowid))
+                .collect();
+            grt_rstar::bulk_load_pairs(handle, &pairs, self.tree_opts).map_err(am_err)
+        })?;
+        ctx.trace.emit_with("RSTAR", 2, || {
+            format!("bulk build: {} entries packed", rows.len())
+        });
+        Ok(true)
     }
 
     fn am_delete(
@@ -523,27 +299,22 @@ impl AccessMethod for RStarBitemporalAm {
         rowid: RowId,
         ctx: &AmContext,
     ) -> Result<(), IdsError> {
-        let extent = extent_from_value(
-            row.first()
-                .ok_or_else(|| IdsError::AccessMethod("no key column".into()))?,
-        )?;
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            let rect = self.strategy.to_rect(&extent, td.ct);
-            let out = td
-                .tree
-                .as_mut()
-                .expect("ensured")
-                .delete(rect, rowid.0)
-                .map_err(rs_err)?;
+        let extent = key_extent(row)?;
+        // A delete that condenses the tree moves entries between pages
+        // and frees others, so an open scan restarts from the new root
+        // (the same Section 5.5 rule as the GR-tree).
+        tree_am::delete::<Self>(idx, ctx, DeletePolicy::RestartOnCondense, |tree, ct| {
+            let rect = self.strategy.to_rect(&extent, ct);
+            let out = tree.delete(rect, rowid.0).map_err(am_err)?;
             if !out.found {
                 return Err(IdsError::AccessMethod(format!(
                     "entry for {rowid} not found in {} (horizon drift?)",
                     idx.index_name
                 )));
             }
-            Ok(())
+            Ok(out.condensed)
         })
+        .map(drop)
     }
 
     fn am_scancost(
@@ -552,51 +323,7 @@ impl AccessMethod for RStarBitemporalAm {
         qual: &QualDescriptor,
         ctx: &AmContext,
     ) -> Result<f64, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            let ct = td.ct;
-            // Snapshot statements cost the plan from a transient frozen
-            // reader — the planner must not take the LO-level S lock the
-            // snapshot path exists to avoid.
-            let (height, pages, bound) = if let Some(snap) = ctx.snapshot.as_deref() {
-                let reader = RStarTreeReader::open(
-                    snap.reader(td.lo)?,
-                    TreeMetrics::registered(&ctx.space.metrics(), "rstar"),
-                )
-                .map_err(rs_err)?;
-                (
-                    reader.height() as f64,
-                    reader.pages() as f64,
-                    reader.root_mbr().map_err(rs_err)?,
-                )
-            } else {
-                self.ensure_tree(td, ctx, false)?;
-                let tree = td.tree.as_ref().expect("ensured");
-                (
-                    tree.height() as f64,
-                    tree.pages() as f64,
-                    tree.root_mbr().map_err(rs_err)?,
-                )
-            };
-            // Selectivity from the qualification: the fraction of the
-            // root MBR the probes' grounded query rectangles cover.
-            let fraction = match bound {
-                None => 0.0,
-                Some(bound) => {
-                    let total = bound.area();
-                    let probes = decompose(qual).unwrap_or_default();
-                    if probes.is_empty() || total <= 0 {
-                        1.0
-                    } else {
-                        let overlap: i128 = probes
-                            .iter()
-                            .map(|p| bound.overlap_area(&self.strategy.query_rect(&p.query, ct)))
-                            .sum();
-                        (overlap as f64 / total as f64).clamp(0.02, 1.0)
-                    }
-                }
-            };
-            Ok(height + pages * fraction)
-        })
+        tree_am::scancost(self, idx, qual, ctx)
     }
 
     fn am_supports_snapshot(&self) -> bool {
@@ -604,10 +331,8 @@ impl AccessMethod for RStarBitemporalAm {
     }
 
     fn am_stats(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<String, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            let tree = td.tree.as_ref().expect("ensured");
-            let q = tree.quality().map_err(rs_err)?;
+        tree_am::with_tree::<Self, _>(idx, ctx, false, |tree, _ct| {
+            let q = tree.quality().map_err(am_err)?;
             Ok(format!(
                 "rstar {}: {} entries, height {}, {} pages, dead space {}, overlap {}",
                 idx.index_name,
@@ -621,9 +346,6 @@ impl AccessMethod for RStarBitemporalAm {
     }
 
     fn am_check(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            td.tree.as_ref().expect("ensured").check().map_err(rs_err)
-        })
+        tree_am::with_tree::<Self, _>(idx, ctx, false, |tree, _ct| tree.check().map_err(am_err))
     }
 }

@@ -10,7 +10,8 @@
 use crate::entry::{GrNode, InternalEntry, LeafEntry};
 use crate::tree::{GrTree, GrTreeOptions};
 use crate::Result;
-use grt_sbspace::LoHandle;
+use grt_sbspace::pack::{pack_levels, str_leaf_runs};
+use grt_sbspace::{LoHandle, SearchTree};
 use grt_temporal::{bound_entries, Day, RegionSpec, TimeExtent, TtEnd};
 
 /// Bulk-loads a GR-tree from `entries` into an empty large object using
@@ -28,78 +29,32 @@ pub fn bulk_load(
     // Target fill: ~90% of fan-out, the classical packing compromise.
     let cap = (tree.max_entries() * 9 / 10).max(2);
     let min = tree.min_fill();
-    let center = |e: &LeafEntry| {
+    // STR over region centres resolved at `ct`: tt-centre slabs, runs
+    // by vt-centre.
+    let runs = str_leaf_runs(&mut entries, cap, min, |e| {
         let m = e.extent.region(ct).mbr();
         (
             m.tt1.0 as i64 + m.tt2.0 as i64,
             m.vt1.0 as i64 + m.vt2.0 as i64,
         )
+    });
+    let mut append = |node: GrNode| -> Result<InternalEntry> {
+        let spec = node.bound(ct);
+        let child = tree.bulk_append(&node)?;
+        Ok(InternalEntry { spec, child })
     };
-    // STR: sort by tt-centre, slice into vertical slabs, sort each slab
-    // by vt-centre, pack runs of `cap`.
-    entries.sort_by_key(|e| center(e).0);
-    let n = entries.len();
-    let leaves_needed = n.div_ceil(cap);
-    let slabs = (leaves_needed as f64).sqrt().ceil() as usize;
-    let per_slab = n.div_ceil(slabs.max(1));
-    let mut leaf_nodes: Vec<GrNode> = Vec::new();
-    for slab_range in balanced_runs(n, per_slab.max(1), min) {
-        let mut slab: Vec<LeafEntry> = entries[slab_range].to_vec();
-        slab.sort_by_key(|e| center(e).1);
-        for run in balanced_runs(slab.len(), cap, min) {
-            leaf_nodes.push(GrNode::Leaf(slab[run].to_vec()));
-        }
-    }
-    // Write leaves and build parent levels bottom-up.
-    let mut level_entries: Vec<InternalEntry> = Vec::new();
-    for node in &leaf_nodes {
-        let bound = node.bound(ct);
-        let page = tree.bulk_append(node)?;
-        level_entries.push(InternalEntry {
-            spec: bound,
-            child: page,
-        });
-    }
-    let mut level = 1u16;
-    while level_entries.len() > 1 {
-        let mut next: Vec<InternalEntry> = Vec::new();
-        for run in balanced_runs(level_entries.len(), cap, min) {
-            let node = GrNode::Internal {
-                level,
-                entries: level_entries[run].to_vec(),
-            };
-            let bound = node.bound(ct);
-            let page = tree.bulk_append(&node)?;
-            next.push(InternalEntry {
-                spec: bound,
-                child: page,
-            });
-        }
-        level_entries = next;
-        level += 1;
-    }
-    tree.bulk_finish(level_entries[0].child, level as u32, n as u64)?;
+    let leaves = runs
+        .into_iter()
+        .map(|run| append(GrNode::Leaf(entries[run].to_vec())))
+        .collect::<Result<Vec<_>>>()?;
+    let (root, height) = pack_levels(leaves, cap, min, |level, kids| {
+        append(GrNode::Internal {
+            level,
+            entries: kids.to_vec(),
+        })
+    })?;
+    tree.bulk_finish(root.child, height, entries.len() as u64)?;
     Ok(tree)
-}
-
-/// Splits `n` items into runs of at most `cap`, each of at least `min`
-/// items (when `n >= min`): a short final run borrows from its
-/// predecessor so no packed node violates the minimum-fill invariant.
-fn balanced_runs(n: usize, cap: usize, min: usize) -> Vec<std::ops::Range<usize>> {
-    let mut runs = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let remaining = n - start;
-        let take = if remaining > cap && remaining - cap < min && remaining >= 2 * min {
-            // Leave enough behind for a legal final run.
-            remaining - min
-        } else {
-            remaining.min(cap)
-        };
-        runs.push(start..start + take.min(cap).max(1));
-        start += take.min(cap).max(1);
-    }
-    runs
 }
 
 /// Rebuild-based vacuum: keeps only the entries `keep` accepts,
@@ -134,7 +89,7 @@ pub fn collect_leaves(
     mut filter: impl FnMut(&LeafEntry) -> bool,
 ) -> Result<Vec<LeafEntry>> {
     let mut out = Vec::new();
-    let mut stack = vec![tree.root_page()];
+    let mut stack = vec![tree.root()];
     while let Some(page) = stack.pop() {
         match tree.read_node(page)? {
             GrNode::Leaf(entries) => out.extend(entries.into_iter().filter(|e| filter(e))),

@@ -49,17 +49,15 @@
 
 pub mod bulk;
 pub mod concurrent;
-pub mod cursor;
 pub mod entry;
 pub mod meta;
-pub mod parallel;
+pub mod search;
 pub mod stats;
 pub mod tree;
 
 pub use concurrent::ConcurrentGrTree;
-pub use cursor::{GrCursor, NodeSource};
 pub use entry::{GrNode, InternalEntry, LeafEntry};
-pub use parallel::{parallel_scan, GrTreeReader, ParallelScan, ParallelScanStats};
+pub use search::{GrProbe, GrTreeReader};
 pub use stats::GrQuality;
 pub use tree::{GrDeleteOutcome, GrTree, GrTreeOptions};
 

@@ -1,7 +1,10 @@
 //! The GR-tree header page (logical page 0 of the large object).
 
+use crate::entry::GrNode;
 use crate::{GrError, Result};
 use grt_sbspace::page::{get_u32, get_u64, page_from_slice, put_u32, put_u64, PageBuf, PAGE_SIZE};
+use grt_sbspace::PageSource;
+use grt_temporal::{Day, Region, RegionSpec, VtEnd};
 
 const MAGIC: &[u8; 4] = b"GRTH";
 /// "No page" sentinel in the free chain.
@@ -35,6 +38,27 @@ pub struct GrMeta {
 }
 
 impl GrMeta {
+    /// A node's bounding region, degraded to a growing rectangle when
+    /// the `rectangle_only` ablation is on (stairs keep their `NOW`
+    /// timestamps but the `Rectangle` flag inflates them to squares).
+    pub(crate) fn node_bound(&self, node: &GrNode, ct: Day) -> RegionSpec {
+        let mut b = node.bound(ct);
+        if self.rectangle_only && matches!(b.vt_end, VtEnd::Now) {
+            b.rect = true;
+        }
+        b
+    }
+
+    /// The root node's bounding region resolved at `ct`, read through
+    /// `src`, or `None` for an empty tree.
+    pub(crate) fn root_bound(&self, src: &impl PageSource, ct: Day) -> Result<Option<Region>> {
+        if self.count == 0 {
+            return Ok(None);
+        }
+        let node = GrNode::decode(&*src.read_page_pinned(self.root)?)?;
+        Ok(Some(self.node_bound(&node, ct).resolve(ct)))
+    }
+
     /// Serialises into a page image.
     pub fn encode(&self) -> PageBuf {
         let mut buf = vec![0u8; PAGE_SIZE];

@@ -1,13 +1,13 @@
 //! GR-tree algorithms: insertion with the time parameter, splits,
 //! deletion with condensation, and NOW/UC-aware search.
 
-use crate::cursor::GrCursor;
 use crate::entry::{GrNode, InternalEntry, LeafEntry, MAX_FANOUT};
 use crate::meta::{decode_free, encode_free, GrMeta, NO_PAGE};
+use crate::search::GrProbe;
 use crate::stats::GrQuality;
 use crate::{GrError, Result};
 use grt_metrics::TreeMetrics;
-use grt_sbspace::LoHandle;
+use grt_sbspace::{LoHandle, SearchTree};
 use grt_temporal::{bound_entries, Day, Predicate, Region, RegionSpec, TimeExtent};
 use std::collections::HashSet;
 
@@ -69,8 +69,8 @@ impl AnyEntry {
 
 /// A disk-resident GR-tree owning its large-object handle.
 pub struct GrTree {
-    lo: LoHandle,
-    meta: GrMeta,
+    pub(crate) lo: LoHandle,
+    pub(crate) meta: GrMeta,
     /// Operation counters; detached by default, swapped for
     /// registry-backed cells via [`GrTree::set_metrics`].
     pub(crate) metrics: TreeMetrics,
@@ -126,11 +126,6 @@ impl GrTree {
         self.metrics = metrics;
     }
 
-    /// The operation counters this tree bumps.
-    pub fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
-    }
-
     /// Releases the large-object handle, flushing the header when the
     /// handle is writable (read-only opens never changed it).
     pub fn into_lo(mut self) -> Result<LoHandle> {
@@ -150,11 +145,6 @@ impl GrTree {
         self.meta.count == 0
     }
 
-    /// Tree height (1 = the root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.meta.height
-    }
-
     /// Maximum node fan-out of this tree instance.
     pub fn max_entries(&self) -> usize {
         self.meta.max_entries as usize
@@ -168,11 +158,6 @@ impl GrTree {
     /// Total pages owned, header included.
     pub fn pages(&self) -> u32 {
         self.lo.page_count()
-    }
-
-    /// The root page (for structure dumps).
-    pub fn root_page(&self) -> u32 {
-        self.meta.root
     }
 
     fn write_meta(&mut self) -> Result<()> {
@@ -212,17 +197,6 @@ impl GrTree {
         ct.plus(self.meta.time_param as i32)
     }
 
-    /// A node's bounding region, degraded to a growing rectangle when
-    /// the `rectangle_only` ablation is on (stairs keep their `NOW`
-    /// timestamps but the `Rectangle` flag inflates them to squares).
-    fn node_bound(&self, node: &GrNode, ct: Day) -> RegionSpec {
-        let mut b = node.bound(ct);
-        if self.meta.rectangle_only && matches!(b.vt_end, grt_temporal::VtEnd::Now) {
-            b.rect = true;
-        }
-        b
-    }
-
     /// Reconstructs the construction options (for rebuilds).
     pub fn options(&self) -> GrTreeOptions {
         GrTreeOptions {
@@ -234,23 +208,11 @@ impl GrTree {
         }
     }
 
-    /// Snapshots this tree into a `Send + Sync` read-only handle for
-    /// parallel scans; see [`crate::parallel`]. The snapshot is valid
-    /// while this tree (and the lock its large-object handle holds)
-    /// stays open.
-    pub fn reader(&self) -> crate::parallel::GrTreeReader {
-        crate::parallel::GrTreeReader::new(self.lo.reader(), self.meta, self.metrics.clone())
-    }
-
     /// The root node's bounding region resolved at `ct`, or `None` for
     /// an empty tree. The planner's selectivity estimate compares a
     /// query region against this bound.
     pub fn root_bound(&self, ct: Day) -> Result<Option<Region>> {
-        if self.meta.count == 0 {
-            return Ok(None);
-        }
-        let node = self.read_node(self.meta.root)?;
-        Ok(Some(self.node_bound(&node, ct).resolve(ct)))
+        self.meta.root_bound(&self.lo, ct)
     }
 
     /// Appends a packed node during bulk load (no balancing).
@@ -291,7 +253,7 @@ impl GrTree {
         if let Some(sibling) = self.insert_rec(root, entry, level, ct, reinserted, pending)? {
             let old_root_node = self.read_node(root)?;
             let left = InternalEntry {
-                spec: self.node_bound(&old_root_node, ct),
+                spec: self.meta.node_bound(&old_root_node, ct),
                 child: root,
             };
             let new_root = GrNode::Internal {
@@ -329,7 +291,7 @@ impl GrTree {
             let child = entries[idx].child;
             let split = self.insert_rec(child, entry, target_level, ct, reinserted, pending)?;
             // Refresh the chosen child's bounding region.
-            let child_bound = self.node_bound(&self.read_node(child)?, ct);
+            let child_bound = self.meta.node_bound(&self.read_node(child)?, ct);
             let GrNode::Internal { entries, .. } = &mut node else {
                 unreachable!()
             };
@@ -351,7 +313,7 @@ impl GrTree {
             }
             let (a, b) = self.split(node, ct);
             self.write_node(page, &a)?;
-            let b_bound = self.node_bound(&b, ct);
+            let b_bound = self.meta.node_bound(&b, ct);
             let b_page = self.alloc_node(&b)?;
             return Ok(Some(InternalEntry {
                 spec: b_bound,
@@ -610,7 +572,7 @@ impl GrTree {
                     match self.delete_rec(child, extent, rowid, ct, orphans)? {
                         None => continue,
                         Some(ChildFate::Alive) => {
-                            let bound = self.node_bound(&self.read_node(child)?, ct);
+                            let bound = self.meta.node_bound(&self.read_node(child)?, ct);
                             entries[idx].spec = bound;
                         }
                         Some(ChildFate::Dissolved(orphaned, l)) => {
@@ -642,29 +604,12 @@ impl GrTree {
         query: &TimeExtent,
         ct: Day,
     ) -> Result<Vec<(TimeExtent, u64)>> {
-        let mut cursor = self.cursor(pred, *query, ct);
+        let mut cursor = self.cursor(GrProbe::new(pred, *query, ct));
         let mut out = Vec::new();
         while let Some(hit) = self.cursor_next(&mut cursor)? {
             out.push(hit);
         }
         Ok(out)
-    }
-
-    /// Opens a scan cursor. The current time is fixed at cursor creation
-    /// — the paper's per-statement current time (Section 5.4).
-    pub fn cursor(&self, pred: Predicate, query: TimeExtent, ct: Day) -> GrCursor {
-        self.metrics.searches.inc();
-        GrCursor::new(pred, query, ct, self.meta.root)
-    }
-
-    /// Advances a cursor to the next qualifying `(extent, rowid)`.
-    pub fn cursor_next(&self, cursor: &mut GrCursor) -> Result<Option<(TimeExtent, u64)>> {
-        cursor.next(self)
-    }
-
-    /// Resets a cursor to the root (after tree condensation).
-    pub fn cursor_restart(&self, cursor: &mut GrCursor) {
-        cursor.restart(self.meta.root);
     }
 
     /// Computes quality statistics at current time `ct`.
@@ -743,20 +688,6 @@ impl GrTree {
             }
         }
         Ok(node.bound(ct))
-    }
-}
-
-impl crate::cursor::NodeSource for GrTree {
-    fn read_node(&self, page: u32) -> Result<GrNode> {
-        GrTree::read_node(self, page)
-    }
-
-    fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
-    }
-
-    fn prefetch(&self, pages: &[u32]) {
-        self.lo.prefetch(pages);
     }
 }
 
@@ -962,7 +893,7 @@ mod tests {
             t.insert(*e, *id, ct).unwrap();
         }
         let q = extent(0, None, 0, None);
-        let mut cursor = t.cursor(Predicate::Overlaps, q, ct);
+        let mut cursor = t.cursor(GrProbe::new(Predicate::Overlaps, q, ct));
         // Pull a few results, then delete until the tree condenses.
         for _ in 0..3 {
             t.cursor_next(&mut cursor).unwrap();
@@ -991,7 +922,7 @@ mod tests {
             t.insert(*e, *id, ct).unwrap();
         }
         let q = extent(0, None, 0, None);
-        let mut cursor = t.cursor(Predicate::Overlaps, q, ct);
+        let mut cursor = t.cursor(GrProbe::new(Predicate::Overlaps, q, ct));
         let mut got = Vec::new();
         for _ in 0..3 {
             let (_, id) = t.cursor_next(&mut cursor).unwrap().expect("tree has rows");

@@ -1,13 +1,14 @@
 //! Snapshot reads over a GR-tree: a frozen space snapshot must keep
 //! answering with the exact rows that were committed when it was taken,
 //! even while a writer condenses the tree underneath it, and the
-//! parallel scan must agree with the serial cursor on that frozen view.
+//! parallel scan must agree with the serial cursor on that frozen view
+//! and on a locked tree.
 
 use std::collections::BTreeSet;
 
-use grt_grtree::{parallel_scan, GrTree, GrTreeOptions, GrTreeReader};
+use grt_grtree::{GrProbe, GrTree, GrTreeOptions, GrTreeReader};
 use grt_metrics::TreeMetrics;
-use grt_sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions};
+use grt_sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions, SearchTree, TreeProbe};
 use grt_temporal::{Day, Predicate, TimeExtent, TtEnd, VtEnd};
 
 fn extent(ttb: i32, tte: Option<i32>, vtb: i32, vte: Option<i32>) -> TimeExtent {
@@ -65,7 +66,7 @@ fn committed_tree(sb: &Sbspace, data: &[(u64, TimeExtent)], ct: Day) -> grt_sbsp
 }
 
 fn drain_reader(reader: &GrTreeReader, ct: Day) -> BTreeSet<u64> {
-    let mut cursor = reader.cursor(Predicate::Overlaps, everything(), ct);
+    let mut cursor = reader.cursor(GrProbe::new(Predicate::Overlaps, everything(), ct));
     let mut got = BTreeSet::new();
     while let Some((_, rowid)) = reader.cursor_next(&mut cursor).unwrap() {
         got.insert(rowid);
@@ -133,15 +134,16 @@ fn snapshot_parallel_scan_matches_serial_across_degrees() {
     let reader = GrTreeReader::open(snap.reader(lo).unwrap(), TreeMetrics::default()).unwrap();
 
     for pred in [Predicate::Overlaps, Predicate::Contains] {
-        let query = everything();
-        let mut cursor = reader.cursor(pred, query, ct);
+        let probe = GrProbe::new(pred, everything(), ct);
+        let mut cursor = reader.cursor(probe);
         let mut want: Vec<u64> = Vec::new();
         while let Some((_, rowid)) = reader.cursor_next(&mut cursor).unwrap() {
             want.push(rowid);
         }
         want.sort_unstable();
         for workers in [1, 2, 4, 8] {
-            let mut got: Vec<u64> = parallel_scan(&reader, pred, query, ct, workers)
+            let mut got: Vec<u64> = reader
+                .parallel_scan(&probe, workers)
                 .unwrap()
                 .rows
                 .iter()
@@ -151,4 +153,78 @@ fn snapshot_parallel_scan_matches_serial_across_degrees() {
             assert_eq!(got, want, "{pred:?} at degree {workers} diverged");
         }
     }
+}
+
+/// A tree under an open exclusive lock, with `n` entries of the mixed
+/// now-relative / ground shapes inserted one by one.
+fn locked_tree(n: i32) -> GrTree {
+    let sb = Sbspace::mem(SbspaceOptions {
+        pool_pages: 8192,
+        ..Default::default()
+    });
+    let txn = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&txn).unwrap();
+    let handle = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
+    std::mem::forget(txn);
+    let mut tree = GrTree::create(
+        handle,
+        GrTreeOptions {
+            max_entries: 8,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    for i in 0..n {
+        let base = (i * 13) % 500;
+        let e = match i % 6 {
+            0 => extent(base, None, base - (i % 9), Some(base + 40)),
+            1 => extent(base, Some(base + 25), base - 7, Some(base + 30)),
+            2 => extent(base, None, base, None),
+            3 => extent(base, Some(base + 15), base, None),
+            4 => extent(base, None, base - (1 + i % 5), None),
+            _ => extent(base, Some(base + 12), base - (1 + i % 5), None),
+        };
+        tree.insert(e, i as u64, Day(600)).unwrap();
+    }
+    tree
+}
+
+/// Drains a fresh serial cursor, as sorted dedup keys.
+fn serial_keys(tree: &GrTree, probe: GrProbe) -> Vec<(u64, [u8; 16])> {
+    let mut c = tree.cursor(probe);
+    let mut out = Vec::new();
+    while let Some(hit) = tree.cursor_next(&mut c).unwrap() {
+        out.push(GrProbe::key(&hit));
+    }
+    out.sort_unstable();
+    out
+}
+
+#[test]
+fn parallel_matches_serial_across_degrees() {
+    let tree = locked_tree(400);
+    let query = extent(100, Some(400), 100, Some(400));
+    for pred in [Predicate::Overlaps, Predicate::Contains] {
+        let probe = GrProbe::new(pred, query, Day(700));
+        let want = serial_keys(&tree, probe);
+        for workers in [1, 2, 4, 8] {
+            let got = tree
+                .parallel_scan(&probe, workers)
+                .unwrap()
+                .rows
+                .iter()
+                .map(GrProbe::key)
+                .collect::<Vec<_>>();
+            assert_eq!(got, want, "{pred} at degree {workers} diverged");
+        }
+    }
+}
+
+#[test]
+fn height_one_tree_scans_inline() {
+    let tree = locked_tree(3);
+    let probe = GrProbe::new(Predicate::Overlaps, extent(0, None, 0, None), Day(700));
+    let out = tree.parallel_scan(&probe, 8).unwrap();
+    assert_eq!(out.stats.workers, 1);
+    assert_eq!(out.rows.len(), serial_keys(&tree, probe).len());
 }

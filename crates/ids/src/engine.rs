@@ -432,11 +432,6 @@ impl Database {
         });
         let trace = TraceSink::new();
         metrics.adopt_counter("trace.dropped", trace.dropped_counter());
-        // Alias the storage lock counters under the engine-facing
-        // `lock.*` names (same cells — no double counting).
-        let io = space.stats();
-        metrics.adopt_counter("lock.waits", io.lock_waits.clone());
-        metrics.adopt_counter("lock.deadlocks", io.deadlocks.clone());
         let counters = EngineCounters::registered(&metrics);
         let exec_ns = metrics.histogram("ids.exec_ns");
         let batch_rows = metrics.histogram("scan.batch_rows");

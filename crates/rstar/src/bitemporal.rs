@@ -22,6 +22,7 @@
 //! benchmarks report.
 
 use crate::geom::{Rect2, SpatialPredicate};
+use crate::search::RectProbe;
 use crate::tree::RStarTree;
 use crate::Result;
 use grt_temporal::{Day, Predicate, TimeExtent, TtEnd, VtEnd};
@@ -75,6 +76,22 @@ impl NowStrategy {
         let mbr = query.region(ct).mbr();
         Rect2::new(mbr.tt1.0, mbr.tt2.0, mbr.vt1.0, mbr.vt2.0)
     }
+
+    /// The rectangle probe for bitemporal `pred` against `query` at
+    /// `ct`. The rectangle test must never prune a true match, so the
+    /// widest sound spatial predicate (overlap) is used for every
+    /// bitemporal predicate except Contains, where the stored rectangle
+    /// must at least cover the query MBR.
+    pub fn probe(self, pred: Predicate, query: &TimeExtent, ct: Day) -> RectProbe {
+        let pred = match pred {
+            Predicate::Contains => SpatialPredicate::Contains,
+            _ => SpatialPredicate::Overlap,
+        };
+        RectProbe {
+            pred,
+            query: self.query_rect(query, ct),
+        }
+    }
 }
 
 /// A candidate set from the rectangle index plus the exact answer after
@@ -98,16 +115,8 @@ pub fn refine(
     ct: Day,
     mut lookup: impl FnMut(u64) -> TimeExtent,
 ) -> Result<RefinedSearch> {
-    let qrect = strategy.query_rect(query, ct);
-    // The rectangle test must never prune a true match, so the widest
-    // sound spatial predicate (overlap) is used for every bitemporal
-    // predicate except Contains, where the stored rectangle must at
-    // least cover the query MBR.
-    let spatial = match pred {
-        Predicate::Contains => SpatialPredicate::Contains,
-        _ => SpatialPredicate::Overlap,
-    };
-    let candidates = tree.search(spatial, &qrect)?;
+    let probe = strategy.probe(pred, query, ct);
+    let candidates = tree.search(probe.pred, &probe.query)?;
     let mut out = RefinedSearch {
         matches: Vec::new(),
         candidates,

@@ -6,6 +6,7 @@
 use crate::node::{Entry, Node};
 use crate::tree::{RStarOptions, RStarTree};
 use crate::Result;
+use grt_sbspace::pack::{pack_levels, str_leaf_runs};
 use grt_sbspace::LoHandle;
 
 /// Bulk-loads an R\*-tree from `(rect, rowid)` entries into an empty
@@ -19,77 +20,29 @@ pub fn bulk_load(lo: LoHandle, mut entries: Vec<Entry>, opts: RStarOptions) -> R
     // Target fill: ~90% of fan-out, the classical packing compromise.
     let cap = (tree.max_entries() * 9 / 10).max(2);
     let min = tree.min_fill();
-    let center = |e: &Entry| {
+    // STR over rectangle centres: x-centre slabs, runs by y-centre.
+    let runs = str_leaf_runs(&mut entries, cap, min, |e| {
         (
             e.rect.x1 as i64 + e.rect.x2 as i64,
             e.rect.y1 as i64 + e.rect.y2 as i64,
         )
-    };
-    // STR: sort by x-centre, slice into vertical slabs, sort each slab
-    // by y-centre, pack runs of `cap`.
-    entries.sort_by_key(|e| center(e).0);
-    let n = entries.len();
-    let leaves_needed = n.div_ceil(cap);
-    let slabs = (leaves_needed as f64).sqrt().ceil() as usize;
-    let per_slab = n.div_ceil(slabs.max(1));
-    let mut leaf_nodes: Vec<Node> = Vec::new();
-    for slab_range in balanced_runs(n, per_slab.max(1), min) {
-        let mut slab: Vec<Entry> = entries[slab_range].to_vec();
-        slab.sort_by_key(|e| center(e).1);
-        for run in balanced_runs(slab.len(), cap, min) {
-            let mut node = Node::new(0);
-            node.entries.extend_from_slice(&slab[run]);
-            leaf_nodes.push(node);
-        }
-    }
-    // Write leaves and build parent levels bottom-up.
-    let mut level_entries: Vec<Entry> = Vec::new();
-    for node in &leaf_nodes {
-        let mbr = node.mbr();
-        let page = tree.bulk_append(node)?;
-        level_entries.push(Entry {
-            rect: mbr,
+    });
+    let mut append = |level: u16, kids: &[Entry]| -> Result<Entry> {
+        let mut node = Node::new(level);
+        node.entries.extend_from_slice(kids);
+        let page = tree.bulk_append(&node)?;
+        Ok(Entry {
+            rect: node.mbr(),
             payload: page as u64,
-        });
-    }
-    let mut level = 1u16;
-    while level_entries.len() > 1 {
-        let mut next: Vec<Entry> = Vec::new();
-        for run in balanced_runs(level_entries.len(), cap, min) {
-            let mut node = Node::new(level);
-            node.entries.extend_from_slice(&level_entries[run]);
-            let mbr = node.mbr();
-            let page = tree.bulk_append(&node)?;
-            next.push(Entry {
-                rect: mbr,
-                payload: page as u64,
-            });
-        }
-        level_entries = next;
-        level += 1;
-    }
-    tree.bulk_finish(level_entries[0].payload as u32, level as u32, n as u64)?;
+        })
+    };
+    let leaves = runs
+        .into_iter()
+        .map(|run| append(0, &entries[run]))
+        .collect::<Result<Vec<_>>>()?;
+    let (root, height) = pack_levels(leaves, cap, min, append)?;
+    tree.bulk_finish(root.payload as u32, height, entries.len() as u64)?;
     Ok(tree)
-}
-
-/// Splits `n` items into runs of at most `cap`, each of at least `min`
-/// items (when `n >= min`): a short final run borrows from its
-/// predecessor so no packed node violates the minimum-fill invariant.
-fn balanced_runs(n: usize, cap: usize, min: usize) -> Vec<std::ops::Range<usize>> {
-    let mut runs = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let remaining = n - start;
-        let take = if remaining > cap && remaining - cap < min && remaining >= 2 * min {
-            // Leave enough behind for a legal final run.
-            remaining - min
-        } else {
-            remaining.min(cap)
-        };
-        runs.push(start..start + take.min(cap).max(1));
-        start += take.min(cap).max(1);
-    }
-    runs
 }
 
 /// Convenience: bulk-load from bare `(rect, rowid)` pairs.

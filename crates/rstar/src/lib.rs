@@ -20,18 +20,16 @@
 
 pub mod bitemporal;
 pub mod bulk;
-pub mod cursor;
 pub mod geom;
 pub mod meta;
 pub mod node;
-pub mod parallel;
+pub mod search;
 pub mod stats;
 pub mod tree;
 
 pub use bulk::{bulk_load, bulk_load_pairs};
-pub use cursor::{NodeSource, RStarCursor};
 pub use geom::{Rect2, SpatialPredicate};
-pub use parallel::{parallel_scan, ParallelScan, ParallelScanStats, RStarTreeReader};
+pub use search::{RStarTreeReader, RectProbe};
 pub use stats::TreeQuality;
 pub use tree::{RStarOptions, RStarTree};
 

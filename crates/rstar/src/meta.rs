@@ -1,7 +1,10 @@
 //! The index header page (logical page 0 of the large object).
 
+use crate::geom::Rect2;
+use crate::node::Node;
 use crate::{RStarError, Result};
 use grt_sbspace::page::{get_u32, get_u64, page_from_slice, put_u32, put_u64, PageBuf, PAGE_SIZE};
+use grt_sbspace::PageSource;
 
 const MAGIC: &[u8; 4] = b"RSTH";
 /// "No page" sentinel in the free chain.
@@ -27,6 +30,17 @@ pub struct Meta {
 }
 
 impl Meta {
+    /// The root node's minimum bounding rectangle, read through `src`,
+    /// or `None` for an empty tree.
+    pub(crate) fn root_mbr(&self, src: &impl PageSource) -> Result<Option<Rect2>> {
+        if self.count == 0 {
+            return Ok(None);
+        }
+        Ok(Some(
+            Node::decode(&*src.read_page_pinned(self.root)?)?.mbr(),
+        ))
+    }
+
     /// Serialises into a page image.
     pub fn encode(&self) -> PageBuf {
         let mut buf = vec![0u8; PAGE_SIZE];

@@ -11,14 +11,14 @@
 //! DataBlade uses, so I/O comparisons between the two are apples to
 //! apples.
 
-use crate::cursor::RStarCursor;
 use crate::geom::{Rect2, SpatialPredicate};
 use crate::meta::{decode_free, encode_free, Meta, NO_PAGE};
 use crate::node::{Entry, Node, MAX_FANOUT};
+use crate::search::RectProbe;
 use crate::stats::TreeQuality;
 use crate::{RStarError, Result};
 use grt_metrics::TreeMetrics;
-use grt_sbspace::LoHandle;
+use grt_sbspace::{LoHandle, SearchTree};
 use std::collections::HashSet;
 
 /// Construction parameters.
@@ -56,8 +56,8 @@ pub struct DeleteOutcome {
 
 /// A disk-resident R\*-tree owning its large-object handle.
 pub struct RStarTree {
-    lo: LoHandle,
-    meta: Meta,
+    pub(crate) lo: LoHandle,
+    pub(crate) meta: Meta,
     /// Operation counters; detached by default, swapped for
     /// registry-backed cells via [`RStarTree::set_metrics`].
     pub(crate) metrics: TreeMetrics,
@@ -113,11 +113,6 @@ impl RStarTree {
         self.metrics = metrics;
     }
 
-    /// The operation counters this tree bumps.
-    pub fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
-    }
-
     /// Releases the large-object handle, flushing the header when the
     /// handle is writable (read-only opens never changed it).
     pub fn into_lo(mut self) -> Result<LoHandle> {
@@ -137,11 +132,6 @@ impl RStarTree {
         self.meta.count == 0
     }
 
-    /// Tree height (1 = the root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.meta.height
-    }
-
     /// Maximum node fan-out of this tree instance.
     pub fn max_entries(&self) -> usize {
         self.meta.max_entries as usize
@@ -150,11 +140,6 @@ impl RStarTree {
     /// Minimum fill of non-root nodes of this tree instance.
     pub fn min_fill(&self) -> usize {
         self.meta.min_fill as usize
-    }
-
-    /// The root page (for structure dumps).
-    pub fn root_page(&self) -> u32 {
-        self.meta.root
     }
 
     fn write_meta(&mut self) -> Result<()> {
@@ -172,22 +157,11 @@ impl RStarTree {
         Ok(())
     }
 
-    /// Snapshots this tree into a `Send + Sync` read-only handle for
-    /// parallel scans; see [`crate::parallel`]. The snapshot is valid
-    /// while this tree (and the lock its large-object handle holds)
-    /// stays open.
-    pub fn reader(&self) -> crate::parallel::RStarTreeReader {
-        crate::parallel::RStarTreeReader::new(self.lo.reader(), self.meta, self.metrics.clone())
-    }
-
     /// The root node's minimum bounding rectangle, or `None` for an
     /// empty tree. The planner's selectivity estimate compares a query
     /// rectangle against this bound.
     pub fn root_mbr(&self) -> Result<Option<Rect2>> {
-        if self.meta.count == 0 {
-            return Ok(None);
-        }
-        Ok(Some(self.read_node(self.meta.root)?.mbr()))
+        self.meta.root_mbr(&self.lo)
     }
 
     /// Appends a packed node during bulk load (no balancing).
@@ -514,29 +488,15 @@ impl RStarTree {
     /// Collects all rowids whose stored rectangle satisfies `pred`
     /// against `query`.
     pub fn search(&self, pred: SpatialPredicate, query: &Rect2) -> Result<Vec<u64>> {
-        let mut cursor = self.cursor(pred, *query);
+        let mut cursor = self.cursor(RectProbe {
+            pred,
+            query: *query,
+        });
         let mut out = Vec::new();
         while let Some((_, rowid)) = self.cursor_next(&mut cursor)? {
             out.push(rowid);
         }
         Ok(out)
-    }
-
-    /// Opens a scan cursor.
-    pub fn cursor(&self, pred: SpatialPredicate, query: Rect2) -> RStarCursor {
-        self.metrics.searches.inc();
-        RStarCursor::new(pred, query, self.meta.root)
-    }
-
-    /// Advances a cursor to the next qualifying `(rect, rowid)`.
-    pub fn cursor_next(&self, cursor: &mut RStarCursor) -> Result<Option<(Rect2, u64)>> {
-        cursor.next(self)
-    }
-
-    /// Resets a cursor to the root (after tree condensation —
-    /// the paper's Section 5.5 restart rule).
-    pub fn cursor_restart(&self, cursor: &mut RStarCursor) {
-        cursor.restart(self.meta.root);
     }
 
     /// Computes quality statistics (nodes, fill, area, overlap) per
@@ -603,20 +563,6 @@ impl RStarTree {
             }
         }
         Ok(node.mbr())
-    }
-}
-
-impl crate::cursor::NodeSource for RStarTree {
-    fn read_node(&self, page: u32) -> Result<Node> {
-        RStarTree::read_node(self, page)
-    }
-
-    fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
-    }
-
-    fn prefetch(&self, pages: &[u32]) {
-        self.lo.prefetch(pages);
     }
 }
 
@@ -770,7 +716,10 @@ mod tests {
             t.insert(rect_for(i), i as u64).unwrap();
         }
         let q = Rect2::new(0, 1000, 0, 1000);
-        let mut cursor = t.cursor(SpatialPredicate::Overlap, q);
+        let mut cursor = t.cursor(RectProbe {
+            pred: SpatialPredicate::Overlap,
+            query: q,
+        });
         let mut got = Vec::new();
         while let Some((_, id)) = t.cursor_next(&mut cursor).unwrap() {
             got.push(id);
@@ -795,7 +744,10 @@ mod tests {
             t.insert(rect_for(i), i as u64).unwrap();
         }
         let q = Rect2::new(0, 1000, 0, 1000);
-        let mut cursor = t.cursor(SpatialPredicate::Overlap, q);
+        let mut cursor = t.cursor(RectProbe {
+            pred: SpatialPredicate::Overlap,
+            query: q,
+        });
         let mut got = Vec::new();
         for _ in 0..3 {
             let (_, id) = t.cursor_next(&mut cursor).unwrap().expect("tree has rows");

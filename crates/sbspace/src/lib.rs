@@ -31,7 +31,9 @@ pub mod buffer;
 pub(crate) mod group;
 pub mod lo;
 pub mod lock;
+pub mod pack;
 pub mod page;
+pub mod search;
 pub mod space;
 pub mod stats;
 pub mod txn;
@@ -42,6 +44,7 @@ pub use buffer::PageGuard;
 pub use lo::LoId;
 pub use lock::{IsolationLevel, LockMode};
 pub use page::{PageBuf, PageId, PAGE_SIZE};
+pub use search::{Cursor, ParallelScan, ParallelScanStats, SearchTree, TreeProbe};
 pub use space::{
     LoHandle, LoReader, PageSource, Sbspace, SbspaceOptions, SpaceInfo, SpaceSnapshot,
 };

@@ -793,9 +793,7 @@ impl Drop for SpaceSnapshot {
 
 impl SpaceInner {
     fn read_header(&self) -> Result<Header> {
-        let mut buf = crate::page::zeroed_page();
-        self.pool.read(PageId(0), &mut buf)?;
-        Header::decode(&buf)
+        Header::decode(&*self.pool.read_pinned(PageId(0))?)
     }
 
     fn lock_for(&self, txn: TxnId, lo: LoId, mode: LockMode) -> Result<()> {
@@ -886,9 +884,7 @@ impl SpaceInner {
         for _ in 0..n {
             if header.free_head != NO_PAGE {
                 let pid = header.free_head;
-                let mut buf = crate::page::zeroed_page();
-                self.pool.read(PageId(pid), &mut buf)?;
-                header.free_head = decode_free_next(&buf)?;
+                header.free_head = decode_free_next(&*self.pool.read_pinned(PageId(pid))?)?;
                 got.push(pid);
             } else {
                 let pid = header.total_pages;
@@ -1595,15 +1591,12 @@ impl Drop for LoHandle {
 /// same object concurrently without a lock-manager interaction per
 /// read.
 ///
-/// The view is as stable as whatever pins the page table it was built
-/// from: a reader taken from a [`LoHandle`] is protected by that
-/// handle's lock (keep the handle open while the reader lives); a
-/// reader taken from a [`SpaceSnapshot`] is protected by the snapshot's
-/// epoch registration — shadow paging means committed pages are never
-/// overwritten in place, and the epoch gate keeps them off the free
-/// list (keep the snapshot alive while the reader lives). Readers hand
-/// out [`PageGuard`]s, which must all be dropped before the owning
-/// space shuts down.
+/// The view is taken from a [`SpaceSnapshot`] and is protected by the
+/// snapshot's epoch registration — shadow paging means committed pages
+/// are never overwritten in place, and the epoch gate keeps them off
+/// the free list (keep the snapshot alive while the reader lives).
+/// Readers hand out [`PageGuard`]s, which must all be dropped before
+/// the owning space shuts down.
 pub struct LoReader {
     inner: Arc<SpaceInner>,
     lo: LoId,
@@ -1718,19 +1711,6 @@ impl<P: PageSource + ?Sized> PageSource for &P {
     }
     fn prefetch(&self, logical: &[u32]) {
         (**self).prefetch(logical)
-    }
-}
-
-impl LoHandle {
-    /// Snapshots this handle into a [`LoReader`] that worker threads can
-    /// share. The handle's lock protects the reader: keep the handle
-    /// open for as long as any reader (or guard it produced) is live.
-    pub fn reader(&self) -> LoReader {
-        LoReader {
-            inner: self.inner.clone(),
-            lo: self.lo,
-            pages: self.inode.data_pages.clone(),
-        }
     }
 }
 

@@ -359,7 +359,12 @@ fn deadlock_victim_statement_succeeds_on_automatic_retry() {
                 });
             }
         });
-        if db.metrics_snapshot().since(&before).get("lock.deadlocks") > 0 {
+        if db
+            .metrics_snapshot()
+            .since(&before)
+            .get("sbspace.deadlocks")
+            > 0
+        {
             observed_deadlock = true;
             break;
         }

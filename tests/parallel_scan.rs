@@ -4,23 +4,53 @@
 //! the planner picking the index, the work-stealing traversal over the
 //! pinned read path, and the merged-batch cursor contract (no
 //! duplicate rows, restart-after-condense) — and cross-checks the
-//! `scan.parallel_*` counters.
+//! `scan.parallel_*` counters. The scan checks run against both tree
+//! access methods, which share one scan scaffold.
 
-use grtree_datablade::blade::{install_grtree_blade, GrTreeAmOptions};
+use grtree_datablade::blade::{install_grtree_blade, install_rstar_blade, GrTreeAmOptions};
 use grtree_datablade::grtree::GrTreeOptions;
 use grtree_datablade::ids::{Connection, Database, DatabaseOptions, Value};
+use grtree_datablade::rstar::bitemporal::NowStrategy;
+use grtree_datablade::rstar::RStarOptions;
 use grtree_datablade::sbspace::SbspaceOptions;
 use grtree_datablade::temporal::{Day, MockClock};
 use std::sync::Arc;
+
+/// An index access method under test: its name, its operator class,
+/// the registry prefix of its tree counters, and how many bytes of
+/// padding each row needs so the planner prefers its probes to a heap
+/// sweep. The R\*-tree stores `UC`/`NOW` as the maximum timestamp, so
+/// its probes are costed higher and need a larger heap to win.
+#[derive(Clone, Copy)]
+struct Am {
+    name: &'static str,
+    opclass: &'static str,
+    tree: &'static str,
+    pad: usize,
+}
+
+const GRTREE: Am = Am {
+    name: "grtree_am",
+    opclass: "grt_opclass",
+    tree: "grtree",
+    pad: 0,
+};
+
+const RSTAR: Am = Am {
+    name: "rstar_am",
+    opclass: "rstar_opclass",
+    tree: "rstar",
+    pad: 200,
+};
 
 fn render(day: i32) -> String {
     let (y, m, d) = Day(day).to_ymd();
     format!("{m:02}/{d:02}/{y:04}")
 }
 
-/// A database whose GR-tree uses a small fan-out, so a few hundred
-/// rows spread the index over enough pages to clear the parallel-scan
-/// threshold.
+/// A database whose trees use a small fan-out, so a few hundred rows
+/// spread an index over enough pages to clear the parallel-scan
+/// threshold. Both tree access methods are installed.
 fn db_small_fanout() -> (Database, MockClock) {
     let clock = MockClock::new(Day(10_000));
     let db = Database::new(DatabaseOptions {
@@ -38,17 +68,35 @@ fn db_small_fanout() -> (Database, MockClock) {
         },
     )
     .unwrap();
+    install_rstar_blade(
+        &db,
+        NowStrategy::MaxTimestamp,
+        RStarOptions {
+            max_entries: 8,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     (db, clock)
 }
 
-/// Populates `t` with `n` rows: even ids now-relative (`UC`/`NOW`),
-/// odd ids with closed extents — the mix the GR-tree's stair encoding
-/// exists for.
-fn populate(conn: &Connection, clock: &MockClock, n: i32) {
-    conn.exec("CREATE TABLE t (id integer, Time_Extent GRT_TimeExtent_t)")
+/// Populates `t`, indexed with `am`, with `n` rows: even ids
+/// now-relative (`UC`/`NOW`), odd ids with closed extents — the mix the
+/// GR-tree's stair encoding exists for. `t_plain` gets the same rows and
+/// no index, so it answers every probe by sequential scan.
+fn populate_with(conn: &Connection, clock: &MockClock, n: i32, am: Am) {
+    for table in ["t", "t_plain"] {
+        conn.exec(&format!(
+            "CREATE TABLE {table} (id integer, pad text, Time_Extent GRT_TimeExtent_t)"
+        ))
         .unwrap();
-    conn.exec("CREATE INDEX tix ON t(Time_Extent grt_opclass) USING grtree_am")
-        .unwrap();
+    }
+    let pad = "x".repeat(am.pad);
+    conn.exec(&format!(
+        "CREATE INDEX tix ON t(Time_Extent {}) USING {}",
+        am.opclass, am.name
+    ))
+    .unwrap();
     for i in 0..n {
         clock.set(Day(10_000 + i));
         let start = render(10_000 + i);
@@ -57,9 +105,18 @@ fn populate(conn: &Connection, clock: &MockClock, n: i32) {
         } else {
             format!("{start}, UC, {start}, {}", render(10_000 + i + 30))
         };
-        conn.exec(&format!("INSERT INTO t VALUES ({i}, '{extent}')"))
+        for table in ["t", "t_plain"] {
+            conn.exec(&format!(
+                "INSERT INTO {table} VALUES ({i}, '{pad}', '{extent}')"
+            ))
             .unwrap();
+        }
     }
+}
+
+/// [`populate_with`] on the GR-tree.
+fn populate(conn: &Connection, clock: &MockClock, n: i32) {
+    populate_with(conn, clock, n, GRTREE);
 }
 
 fn ids_of(conn: &Connection, query: &str) -> Vec<i64> {
@@ -79,9 +136,19 @@ fn ids_of(conn: &Connection, query: &str) -> Vec<i64> {
 
 #[test]
 fn parallel_scan_matches_serial_across_degrees() {
+    matches_serial_across_degrees(GRTREE);
+}
+
+#[test]
+fn rstar_parallel_scan_matches_serial_across_degrees() {
+    matches_serial_across_degrees(RSTAR);
+}
+
+/// Serial ≡ parallel ≡ sequential scan on an index built with `am`.
+fn matches_serial_across_degrees(am: Am) {
     let (db, clock) = db_small_fanout();
     let conn = db.connect();
-    populate(&conn, &clock, 300);
+    populate_with(&conn, &clock, 300, am);
     clock.set(Day(10_400));
 
     // Two selective slices of the history — one early, one late enough
@@ -111,13 +178,16 @@ fn parallel_scan_matches_serial_across_degrees() {
             !serial.is_empty(),
             "probe must match rows or the test proves nothing: {probe}"
         );
+        let seq = ids_of(&conn, &format!("SELECT id FROM t_plain WHERE {probe}"));
+        assert_eq!(serial, seq, "{}: index ≠ sequential scan", am.name);
         for degree in [1usize, 2, 4, 8] {
             conn.exec(&format!("SET PARALLEL {degree}")).unwrap();
             let before = db.metrics_snapshot();
             let got = ids_of(&conn, &query);
             assert_eq!(
                 got, serial,
-                "degree {degree} changed the answer for {probe}"
+                "{}: degree {degree} changed the answer for {probe}",
+                am.name
             );
             let d = db.metrics_snapshot().since(&before);
             assert_eq!(
@@ -148,6 +218,15 @@ fn parallel_scan_matches_serial_across_degrees() {
 
 #[test]
 fn small_trees_fall_back_to_serial() {
+    falls_back_to_serial(GRTREE);
+}
+
+#[test]
+fn rstar_small_trees_fall_back_to_serial() {
+    falls_back_to_serial(RSTAR);
+}
+
+fn falls_back_to_serial(am: Am) {
     // A handful of rows: the index stays under the page threshold, so
     // even a high requested degree runs the serial cursor and ticks
     // the fallback counter instead.
@@ -157,11 +236,15 @@ fn small_trees_fall_back_to_serial() {
         ..Default::default()
     });
     install_grtree_blade(&db, GrTreeAmOptions::default()).unwrap();
+    install_rstar_blade(&db, NowStrategy::MaxTimestamp, RStarOptions::default()).unwrap();
     let conn = db.connect();
     conn.exec("CREATE TABLE t (id integer, Time_Extent GRT_TimeExtent_t)")
         .unwrap();
-    conn.exec("CREATE INDEX tix ON t(Time_Extent grt_opclass) USING grtree_am")
-        .unwrap();
+    conn.exec(&format!(
+        "CREATE INDEX tix ON t(Time_Extent {}) USING {}",
+        am.opclass, am.name
+    ))
+    .unwrap();
     for i in 0..10 {
         clock.set(Day(10_000 + i));
         let s = render(10_000 + i);
@@ -191,6 +274,15 @@ fn small_trees_fall_back_to_serial() {
 
 #[test]
 fn parallel_delete_mid_scan_condenses_and_restarts() {
+    delete_mid_scan_restarts(GRTREE);
+}
+
+#[test]
+fn rstar_parallel_delete_mid_scan_condenses_and_restarts() {
+    delete_mid_scan_restarts(RSTAR);
+}
+
+fn delete_mid_scan_restarts(am: Am) {
     // The Section 5.5 contract under the parallel executor: a DELETE
     // through the index interleaves getnext with deletions, deletions
     // condense the tree, and every condense must throw away the
@@ -198,7 +290,7 @@ fn parallel_delete_mid_scan_condenses_and_restarts() {
     // without ever deleting a row twice or leaving one behind.
     let (db, clock) = db_small_fanout();
     let conn = db.connect();
-    populate(&conn, &clock, 300);
+    populate_with(&conn, &clock, 300, am);
     clock.set(Day(10_400));
     conn.exec("SET PARALLEL 4").unwrap();
 
@@ -213,7 +305,7 @@ fn parallel_delete_mid_scan_condenses_and_restarts() {
     .unwrap();
     let d = db.metrics_snapshot().since(&before);
     assert!(
-        d.get("grtree.condenses") > 0,
+        d.get(&format!("{}.condenses", am.tree)) > 0,
         "the mass delete never condensed the tree: {d}"
     );
 

@@ -406,7 +406,10 @@ fn stress_mixed_workload_reconciles() {
     // counters agree with each other (above), not that they are
     // non-zero.
     if sessions > 1 {
-        assert!(d.get("lock.waits") > 0, "no lock contention provoked: {d}");
+        assert!(
+            d.get("sbspace.lock_waits") > 0,
+            "no lock contention provoked: {d}"
+        );
     }
 
     // Plan-cache reconciliation: every planner decision in this
