@@ -17,15 +17,14 @@
 
 use crate::curtime::{resolve_current_time, CurrentTimePolicy};
 use crate::extent_type::{extent_to_value, key_extent, TYPE_NAME};
-use crate::qual::{eval_full, Probe};
-use crate::tree_am::{self, am_err, DeletePolicy, Opened, Row, TreeAm, View};
-use grt_grtree::{bulk, GrError, GrProbe, GrTree, GrTreeOptions, GrTreeReader, LeafEntry};
+use crate::qual::{decompose, eval_full, Probe};
+use crate::tree_am::{self, am_err, DeletePolicy, Opened, Row, TreeAm};
+use grt_grtree::{bulk, root_bound, GrError, GrNode, GrProbe, GrTree, GrTreeOptions, LeafEntry};
 use grt_ids::{
     AccessMethod, AmContext, DataType, IdsError, IndexDescriptor, QualDescriptor, RowId,
     ScanDescriptor, Value,
 };
-use grt_metrics::TreeMetrics;
-use grt_sbspace::{LoHandle, LoReader, ParallelScanStats, SearchTree, TreeProbe};
+use grt_sbspace::{LoHandle, NodeStore, PageSource, ParallelScanStats, SearchTree, TreeProbe};
 use grt_temporal::{Day, TimeExtent};
 
 /// Blade configuration.
@@ -68,10 +67,9 @@ impl Default for GrTreeAm {
 }
 
 impl TreeAm for GrTreeAm {
+    type Codec = GrNode;
     type Tree = GrTree;
-    type Reader = GrTreeReader;
-    type Probe = GrProbe;
-    type Error = GrError;
+    type Query = Probe;
     type Scan = ();
     type Seen = (u64, [u8; 16]);
     const METRICS: &'static str = "grtree";
@@ -82,11 +80,9 @@ impl TreeAm for GrTreeAm {
     fn into_lo(tree: GrTree) -> Result<LoHandle, GrError> {
         tree.into_lo()
     }
-    fn set_metrics(tree: &mut GrTree, metrics: TreeMetrics) {
-        tree.set_metrics(metrics);
-    }
-    fn open_reader(lo: LoReader, metrics: TreeMetrics) -> Result<GrTreeReader, GrError> {
-        GrTreeReader::open(lo, metrics)
+
+    fn decompose(qual: &QualDescriptor) -> Result<Vec<Probe>, IdsError> {
+        decompose(qual)
     }
 
     fn probe(&self, probe: &Probe, ct: Day) -> GrProbe {
@@ -116,17 +112,13 @@ impl TreeAm for GrTreeAm {
         });
     }
 
-    fn coverage(
+    fn coverage<S: PageSource>(
         &self,
-        tree: View<'_, Self>,
+        tree: &NodeStore<GrNode, S>,
         probes: &[Probe],
         ct: Day,
     ) -> Result<Option<(i128, i128)>, IdsError> {
-        let bound = match tree {
-            View::Locked(t) => t.root_bound(ct),
-            View::Frozen(r) => r.root_bound(ct),
-        }
-        .map_err(am_err)?;
+        let bound = root_bound(tree, ct).map_err(am_err)?;
         Ok(bound.map(|b| {
             let overlap = probes
                 .iter()

@@ -12,17 +12,17 @@
 
 use crate::curtime::{resolve_current_time, CurrentTimePolicy};
 use crate::extent_type::{extent_from_value, extent_to_value, key_extent, TYPE_NAME};
-use crate::qual::{eval_full, Probe};
-use crate::tree_am::{self, am_err, DeletePolicy, Row, TreeAm, View};
+use crate::qual::{decompose, eval_full, Probe};
+use crate::tree_am::{self, am_err, DeletePolicy, Row, TreeAm};
 use grt_ids::heap;
 use grt_ids::{
     AccessMethod, AmContext, DataType, IdsError, IndexDescriptor, QualDescriptor, RowId,
     ScanDescriptor, Value,
 };
-use grt_metrics::TreeMetrics;
 use grt_rstar::bitemporal::NowStrategy;
-use grt_rstar::{RStarError, RStarOptions, RStarTree, RStarTreeReader, Rect2, RectProbe};
-use grt_sbspace::{LoHandle, LoId, LoReader, LockMode, PageSource, ParallelScanStats, SearchTree};
+use grt_rstar::node::Node;
+use grt_rstar::{root_mbr, RStarError, RStarOptions, RStarTree, Rect2, RectProbe};
+use grt_sbspace::{LoHandle, LoId, LockMode, NodeStore, PageSource, ParallelScanStats, SearchTree};
 use grt_temporal::Day;
 
 /// The baseline access method.
@@ -47,7 +47,7 @@ impl RStarBitemporalAm {
 }
 
 /// The refinement side of one scan.
-pub(crate) struct Refinement {
+pub struct Refinement {
     /// The base table for refinement fetches: an S-locked handle on the
     /// locked path, a frozen page-table view on the snapshot path.
     heap: Box<dyn PageSource + Send>,
@@ -59,10 +59,9 @@ pub(crate) struct Refinement {
 }
 
 impl TreeAm for RStarBitemporalAm {
+    type Codec = Node;
     type Tree = RStarTree;
-    type Reader = RStarTreeReader;
-    type Probe = RectProbe;
-    type Error = RStarError;
+    type Query = Probe;
     type Scan = Refinement;
     type Seen = u64;
     const METRICS: &'static str = "rstar";
@@ -73,11 +72,9 @@ impl TreeAm for RStarBitemporalAm {
     fn into_lo(tree: RStarTree) -> Result<LoHandle, RStarError> {
         tree.into_lo()
     }
-    fn set_metrics(tree: &mut RStarTree, metrics: TreeMetrics) {
-        tree.set_metrics(metrics);
-    }
-    fn open_reader(lo: LoReader, metrics: TreeMetrics) -> Result<RStarTreeReader, RStarError> {
-        RStarTreeReader::open(lo, metrics)
+
+    fn decompose(qual: &QualDescriptor) -> Result<Vec<Probe>, IdsError> {
+        decompose(qual)
     }
 
     fn probe(&self, probe: &Probe, ct: Day) -> RectProbe {
@@ -119,19 +116,20 @@ impl TreeAm for RStarBitemporalAm {
         });
     }
 
-    /// The root MBR against the probes' grounded query rectangles.
-    fn coverage(
+    /// The root MBR against the probes' grounded query rectangles. A
+    /// max-timestamp `UC`/`NOW` stretches the MBR to `Day::MAX`; those
+    /// edges are clipped to the current time first, else every probe
+    /// would cover a vanishing share of the bound.
+    fn coverage<S: PageSource>(
         &self,
-        tree: View<'_, Self>,
+        tree: &NodeStore<Node, S>,
         probes: &[Probe],
         ct: Day,
     ) -> Result<Option<(i128, i128)>, IdsError> {
-        let mbr = match tree {
-            View::Locked(t) => t.root_mbr(),
-            View::Frozen(r) => r.root_mbr(),
-        }
-        .map_err(am_err)?;
-        Ok(mbr.map(|b| {
+        let clip = |v: i32| if v == Day::MAX.0 { ct.0 } else { v };
+        let mbr = root_mbr(tree).map_err(am_err)?;
+        Ok(mbr.map(|m| {
+            let b = Rect2::new(m.x1, clip(m.x2), m.y1, clip(m.y2));
             let overlap = probes
                 .iter()
                 .map(|p| b.overlap_area(&self.strategy.query_rect(&p.query, ct)))

@@ -1,26 +1,27 @@
 //! The access-method adaptor shared by every tree-backed blade — what
-//! `grtree_am` and `rstar_am` would otherwise each repeat: the private
-//! index state in "td" (the open tree and the scan cursor), snapshot
-//! mounting, the parallel-scan gate, the scan loop with its dedup set
-//! across OR branches and restarts, the Section 5.5 restart after a
-//! deletion, and the Section 6 cost formula.
+//! `grtree_am`, `rstar_am` and `gist_am` would otherwise each repeat:
+//! the private index state in "td" (the open tree and the scan cursor),
+//! snapshot mounting, the parallel-scan gate, the scan loop with its
+//! dedup set across OR branches and restarts, the Section 5.5 restart
+//! after a deletion, and the Section 6 cost formula.
 //!
-//! An access method plugs in through `TreeAm`: how to open its tree,
-//! how to turn a qualification probe into a tree probe, and what to do
-//! with a hit (exact evaluation for the GR-tree, heap refinement for
-//! the R\*-tree). Everything else it keeps to itself: opclass and type
-//! checks, traces, bulk builds.
+//! An access method plugs in through [`TreeAm`]: how to open its tree,
+//! how to break a qualification into queries and turn each into a tree
+//! probe, and what to do with a hit (exact evaluation for the GR-tree,
+//! heap refinement for the R\*-tree). Everything else it keeps to
+//! itself: opclass and type checks, traces, bulk builds.
 
-use crate::qual::{decompose, Probe};
 use grt_ids::{AmContext, IdsError, IndexDescriptor, QualDescriptor, RowId, Value};
 use grt_metrics::TreeMetrics;
 use grt_sbspace::{
-    Cursor, LoHandle, LoId, LoReader, LockMode, ParallelScanStats, SearchTree, TreeProbe,
+    Cursor, LoHandle, LoId, LockMode, NodeCodec, NodeError, NodeStore, PageSource,
+    ParallelScanStats, SearchTree, TreeProbe, TreeReader,
 };
 use grt_temporal::Day;
 use std::collections::HashSet;
 use std::fmt::Display;
 use std::hash::Hash;
+use std::ops::DerefMut;
 
 /// Index scans on trees at least this many pages go parallel when the
 /// effective degree exceeds one; smaller probes stay on the serial
@@ -28,10 +29,13 @@ use std::hash::Hash;
 const PARALLEL_PAGE_THRESHOLD: u32 = 32;
 
 /// A row handed back to the engine.
-pub(crate) type Row = (RowId, Vec<Value>);
+pub type Row = (RowId, Vec<Value>);
+
+/// The tree probe of an access method.
+pub type Probe<A> = <<A as TreeAm>::Codec as NodeCodec>::Probe;
 
 /// A tree probe's hit.
-pub(crate) type Hit<A> = <<A as TreeAm>::Probe as TreeProbe>::Hit;
+pub type Hit<A> = <Probe<A> as TreeProbe>::Hit;
 
 /// Scan-restart policy after deletions (the Section 5.5 design space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,15 +50,14 @@ pub enum DeletePolicy {
 }
 
 /// What a tree-backed access method supplies to the adaptor.
-pub(crate) trait TreeAm: Sized + 'static {
+pub trait TreeAm: Sized + 'static {
+    /// The tree's page layout and probe; its store is what scans,
+    /// snapshot readers and the cost formula read.
+    type Codec: NodeCodec;
     /// The tree opened over the index BLOB under the LO-level lock.
-    type Tree: SearchTree<Source = LoHandle, Probe = Self::Probe> + Send + 'static;
-    /// The frozen view a snapshot statement reads.
-    type Reader: SearchTree<Source = LoReader, Probe = Self::Probe> + Send + 'static;
-    /// One search over the tree.
-    type Probe: TreeProbe<Error = Self::Error> + Send + 'static;
-    /// The tree's error type.
-    type Error: Display;
+    type Tree: DerefMut<Target = NodeStore<Self::Codec>> + Send + 'static;
+    /// One query of a decomposed qualification.
+    type Query: Send + 'static;
     /// Per-scan state of the access method's own.
     type Scan: Send + 'static;
     /// What a scan deduplicates hits on, across OR branches and
@@ -64,16 +67,15 @@ pub(crate) trait TreeAm: Sized + 'static {
     const METRICS: &'static str;
 
     /// Opens an existing tree.
-    fn open_tree(handle: LoHandle) -> Result<Self::Tree, Self::Error>;
+    fn open_tree(handle: LoHandle) -> Result<Self::Tree, NodeError<Self::Codec>>;
     /// Releases the tree's BLOB handle, flushing its header.
-    fn into_lo(tree: Self::Tree) -> Result<LoHandle, Self::Error>;
-    /// Points the tree's counters at the engine registry.
-    fn set_metrics(tree: &mut Self::Tree, metrics: TreeMetrics);
-    /// Mounts a frozen view over a snapshot's page table.
-    fn open_reader(lo: LoReader, metrics: TreeMetrics) -> Result<Self::Reader, Self::Error>;
+    fn into_lo(tree: Self::Tree) -> Result<LoHandle, NodeError<Self::Codec>>;
 
-    /// The tree probe for one probe of the qualification.
-    fn probe(&self, probe: &Probe, ct: Day) -> Self::Probe;
+    /// Breaks a qualification into the queries the scan runs, one after
+    /// another; an empty qualification yields a query matching all.
+    fn decompose(qual: &QualDescriptor) -> Result<Vec<Self::Query>, IdsError>;
+    /// The tree probe for one query at current time `ct`.
+    fn probe(&self, query: &Self::Query, ct: Day) -> Probe<Self>;
     /// The dedup key of a hit.
     fn seen(hit: &Hit<Self>) -> Self::Seen;
     /// Turns a hit into a row, or drops it when the qualification does
@@ -88,23 +90,18 @@ pub(crate) trait TreeAm: Sized + 'static {
     /// Traces one parallel scan in the access method's own class.
     fn trace_parallel(&self, ctx: &AmContext, stats: &ParallelScanStats, rows: usize);
     /// The area of the root's bound and the summed area of its overlap
-    /// with each probe, or `None` for an empty tree.
-    fn coverage(
+    /// with each query, or `None` for an empty tree — on the locked
+    /// tree or a snapshot reader.
+    fn coverage<S: PageSource>(
         &self,
-        tree: View<'_, Self>,
-        probes: &[Probe],
+        tree: &NodeStore<Self::Codec, S>,
+        queries: &[Self::Query],
         ct: Day,
     ) -> Result<Option<(i128, i128)>, IdsError>;
 }
 
-/// The tree a statement reads: the locked one or a frozen view.
-pub(crate) enum View<'a, A: TreeAm> {
-    Locked(&'a A::Tree),
-    Frozen(&'a A::Reader),
-}
-
 /// A tree-layer failure as the engine sees it.
-pub(crate) fn am_err(e: impl Display) -> IdsError {
+pub fn am_err(e: impl Display) -> IdsError {
     IdsError::AccessMethod(e.to_string())
 }
 
@@ -117,12 +114,12 @@ struct TdState<A: TreeAm> {
     scan: Option<ScanState<A>>,
 }
 
-/// Scan state: the probes derived from the qualification, the live
+/// Scan state: the queries derived from the qualification, the live
 /// cursor, and the dedup set across OR branches and restarts.
 struct ScanState<A: TreeAm> {
-    probes: Vec<Probe>,
+    queries: Vec<A::Query>,
     current: usize,
-    cursor: Option<Cursor<A::Probe>>,
+    cursor: Option<Cursor<Probe<A>>>,
     /// Merged parallel results for the current probe, handed out from
     /// the back. `None` while the probe runs on the serial cursor.
     buffer: Option<Vec<Hit<A>>>,
@@ -134,7 +131,7 @@ struct ScanState<A: TreeAm> {
     /// (no BLOB lock, no condense restarts). Lives in the scan — not in
     /// "td" — so it is released with the statement, never pinning
     /// retired pages past `am_endscan`.
-    reader: Option<A::Reader>,
+    reader: Option<TreeReader<A::Codec>>,
     own: A::Scan,
 }
 
@@ -218,7 +215,7 @@ fn ensure_tree<A: TreeAm>(
     }
     let handle = ctx.space.open_lo(ctx.txn, td.lo, need)?;
     let mut tree = A::open_tree(handle).map_err(am_err)?;
-    A::set_metrics(&mut tree, registered::<A>(ctx));
+    tree.set_metrics(registered::<A>(ctx));
     td.tree = Some(tree);
     td.mode = need;
     Ok(())
@@ -229,27 +226,27 @@ fn ensure_tree<A: TreeAm>(
 fn snapshot_reader<A: TreeAm>(
     td: &TdState<A>,
     ctx: &AmContext,
-) -> Result<Option<A::Reader>, IdsError> {
+) -> Result<Option<TreeReader<A::Codec>>, IdsError> {
     let Some(snap) = ctx.snapshot.as_deref() else {
         return Ok(None);
     };
-    let reader = A::open_reader(snap.reader(td.lo)?, registered::<A>(ctx)).map_err(am_err)?;
+    let reader = TreeReader::open(snap.reader(td.lo)?, registered::<A>(ctx)).map_err(am_err)?;
     Ok(Some(reader))
 }
 
 /// `am_create`: creates the index BLOB, records it in the fragment
 /// catalog, and initialises a tree in it with `make`.
-pub(crate) fn create<A: TreeAm>(
+pub fn create<A: TreeAm>(
     idx: &IndexDescriptor,
     ctx: &AmContext,
     ct: Day,
-    make: impl FnOnce(LoHandle) -> Result<A::Tree, A::Error>,
+    make: impl FnOnce(LoHandle) -> Result<A::Tree, NodeError<A::Codec>>,
 ) -> Result<(), IdsError> {
     let lo = ctx.space.create_lo(ctx.txn)?;
     ctx.fragments.lock().insert(idx.index_name.clone(), lo.0);
     let handle = ctx.space.open_lo(ctx.txn, lo, LockMode::Exclusive)?;
     let mut tree = make(handle).map_err(am_err)?;
-    A::set_metrics(&mut tree, registered::<A>(ctx));
+    tree.set_metrics(registered::<A>(ctx));
     *idx.user_data.lock() = Some(Box::new(TdState::<A> {
         lo,
         mode: LockMode::Exclusive,
@@ -262,7 +259,7 @@ pub(crate) fn create<A: TreeAm>(
 
 /// `am_close`: drops "td", closing the BLOB if a tree was open.
 /// Returns whether one was.
-pub(crate) fn close<A: TreeAm>(idx: &IndexDescriptor) -> Result<bool, IdsError> {
+pub fn close<A: TreeAm>(idx: &IndexDescriptor) -> Result<bool, IdsError> {
     let td = idx.user_data.lock().take();
     let Some(tree) = td.and_then(|b| b.downcast::<TdState<A>>().ok()?.tree) else {
         return Ok(false);
@@ -273,10 +270,7 @@ pub(crate) fn close<A: TreeAm>(idx: &IndexDescriptor) -> Result<bool, IdsError> 
 
 /// `am_drop`: closes the tree and drops the index BLOB. Returns whether
 /// a BLOB was dropped.
-pub(crate) fn drop_index<A: TreeAm>(
-    idx: &IndexDescriptor,
-    ctx: &AmContext,
-) -> Result<bool, IdsError> {
+pub fn drop_index<A: TreeAm>(idx: &IndexDescriptor, ctx: &AmContext) -> Result<bool, IdsError> {
     close::<A>(idx)?;
     let Some(lo) = ctx.fragments.lock().remove(&idx.index_name) else {
         return Ok(false);
@@ -286,7 +280,7 @@ pub(crate) fn drop_index<A: TreeAm>(
 }
 
 /// How `am_open` found the index.
-pub(crate) enum Opened {
+pub enum Opened {
     /// The tree was already open (right after `am_create`).
     Already,
     /// A snapshot statement: nothing opened, the scan mounts the
@@ -298,7 +292,7 @@ pub(crate) enum Opened {
 
 /// `am_open`: fixes the statement's current time and opens the tree
 /// unless the statement runs on a snapshot.
-pub(crate) fn open<A: TreeAm>(
+pub fn open<A: TreeAm>(
     idx: &IndexDescriptor,
     ctx: &AmContext,
     ct: Day,
@@ -319,13 +313,13 @@ pub(crate) fn open<A: TreeAm>(
 /// `am_beginscan`: decomposes the qualification and sets up the scan,
 /// on the snapshot's frozen view when there is one (returns `true`),
 /// else on the locked tree.
-pub(crate) fn beginscan<A: TreeAm>(
+pub fn beginscan<A: TreeAm>(
     idx: &IndexDescriptor,
     qual: &QualDescriptor,
     ctx: &AmContext,
     own: A::Scan,
 ) -> Result<bool, IdsError> {
-    let probes = decompose(qual)?;
+    let queries = A::decompose(qual)?;
     let workers = scan_degree(idx, ctx);
     with_td::<A, _>(idx, ctx, |td| {
         let reader = snapshot_reader(td, ctx)?;
@@ -334,7 +328,7 @@ pub(crate) fn beginscan<A: TreeAm>(
         }
         let on_snapshot = reader.is_some();
         td.scan = Some(ScanState {
-            probes,
+            queries,
             current: 0,
             cursor: None,
             buffer: None,
@@ -349,7 +343,7 @@ pub(crate) fn beginscan<A: TreeAm>(
 }
 
 /// `am_rescan`: rewinds the scan and forgets what it returned.
-pub(crate) fn rescan<A: TreeAm>(idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
+pub fn rescan<A: TreeAm>(idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
     with_td::<A, _>(idx, ctx, |td| {
         if let Some(scan) = td.scan.as_mut() {
             scan.rewind();
@@ -361,7 +355,7 @@ pub(crate) fn rescan<A: TreeAm>(idx: &IndexDescriptor, ctx: &AmContext) -> Resul
 
 /// `am_getnext_batch`: up to `max_rows` rows under one descriptor-lock
 /// acquisition; a short batch tells the executor the scan is exhausted.
-pub(crate) fn getnext_batch<A: TreeAm>(
+pub fn getnext_batch<A: TreeAm>(
     am: &A,
     idx: &IndexDescriptor,
     ctx: &AmContext,
@@ -381,7 +375,7 @@ pub(crate) fn getnext_batch<A: TreeAm>(
 
 /// `am_endscan`: ends the scan, handing back the access method's own
 /// scan state.
-pub(crate) fn endscan<A: TreeAm>(
+pub fn endscan<A: TreeAm>(
     idx: &IndexDescriptor,
     ctx: &AmContext,
 ) -> Result<Option<A::Scan>, IdsError> {
@@ -390,7 +384,7 @@ pub(crate) fn endscan<A: TreeAm>(
 
 /// Runs `f` on the tree, opened for writing when `write` is set, with
 /// the statement's current time.
-pub(crate) fn with_tree<A: TreeAm, R>(
+pub fn with_tree<A: TreeAm, R>(
     idx: &IndexDescriptor,
     ctx: &AmContext,
     write: bool,
@@ -406,7 +400,7 @@ pub(crate) fn with_tree<A: TreeAm, R>(
 /// condensed the tree) and, per `policy`, restarts the open scan — the
 /// Section 5.5 rule: "we decided to restart scanning of the index only
 /// when the tree is actually condensed". Returns whether it restarted.
-pub(crate) fn delete<A: TreeAm>(
+pub fn delete<A: TreeAm>(
     idx: &IndexDescriptor,
     ctx: &AmContext,
     policy: DeletePolicy,
@@ -427,7 +421,7 @@ pub(crate) fn delete<A: TreeAm>(
 
 /// `am_build`: replaces the empty tree `am_create` initialised with the
 /// one `load` packs into the truncated BLOB.
-pub(crate) fn build<A: TreeAm>(
+pub fn build<A: TreeAm>(
     idx: &IndexDescriptor,
     ctx: &AmContext,
     load: impl FnOnce(LoHandle, Day) -> Result<A::Tree, IdsError>,
@@ -437,7 +431,7 @@ pub(crate) fn build<A: TreeAm>(
         let mut handle = A::into_lo(td.tree.take().expect("ensured")).map_err(am_err)?;
         handle.truncate_pages(0)?;
         let mut tree = load(handle, td.ct)?;
-        A::set_metrics(&mut tree, registered::<A>(ctx));
+        tree.set_metrics(registered::<A>(ctx));
         td.tree = Some(tree);
         td.mode = LockMode::Exclusive;
         Ok(true)
@@ -445,43 +439,40 @@ pub(crate) fn build<A: TreeAm>(
 }
 
 /// `am_scancost`, the Section 6 cost formula: tree height plus the page
-/// count scaled by the fraction of the root bound the probes cover,
+/// count scaled by the fraction of the root bound the queries cover,
 /// floored so the estimate stays monotone in size. Snapshot statements
 /// cost the plan from a transient frozen reader — the planner must not
 /// take the LO-level S lock the snapshot path exists to avoid.
-pub(crate) fn scancost<A: TreeAm>(
+pub fn scancost<A: TreeAm>(
     am: &A,
     idx: &IndexDescriptor,
     qual: &QualDescriptor,
     ctx: &AmContext,
 ) -> Result<f64, IdsError> {
-    with_td::<A, _>(idx, ctx, |td| {
-        let ct = td.ct;
-        let probes = decompose(qual).unwrap_or_default();
-        let (height, pages, coverage) = match snapshot_reader(td, ctx)? {
-            Some(reader) => (
-                reader.height(),
-                reader.source().page_count(),
-                am.coverage(View::Frozen(&reader), &probes, ct)?,
-            ),
-            None => {
-                ensure_tree(td, ctx, false)?;
-                let tree = td.tree.as_ref().expect("ensured");
-                (
-                    tree.height(),
-                    tree.source().page_count(),
-                    am.coverage(View::Locked(tree), &probes, ct)?,
-                )
-            }
-        };
-        let fraction = match coverage {
+    fn cost<A: TreeAm, S: PageSource>(
+        am: &A,
+        tree: &NodeStore<A::Codec, S>,
+        queries: &[A::Query],
+        ct: Day,
+    ) -> Result<f64, IdsError> {
+        let fraction = match am.coverage(tree, queries, ct)? {
             None => 0.0,
-            Some((total, overlap)) if !probes.is_empty() && total > 0 => {
+            Some((total, overlap)) if !queries.is_empty() && total > 0 => {
                 (overlap as f64 / total as f64).clamp(0.02, 1.0)
             }
             Some(_) => 1.0,
         };
-        Ok(height as f64 + pages as f64 * fraction)
+        Ok(tree.height() as f64 + tree.pages() as f64 * fraction)
+    }
+    with_td::<A, _>(idx, ctx, |td| {
+        let queries = A::decompose(qual).unwrap_or_default();
+        match snapshot_reader(td, ctx)? {
+            Some(reader) => cost(am, &reader, &queries, td.ct),
+            None => {
+                ensure_tree(td, ctx, false)?;
+                cost(am, &**td.tree.as_ref().expect("ensured"), &queries, td.ct)
+            }
+        }
     })
 }
 
@@ -506,13 +497,13 @@ fn scan_step<A: TreeAm>(
         .ok_or_else(|| IdsError::AccessMethod("getnext without beginscan".into()))?;
     loop {
         if scan.cursor.is_none() && scan.buffer.is_none() {
-            let Some(probe) = scan.probes.get(scan.current) else {
+            let Some(query) = scan.queries.get(scan.current) else {
                 return Ok(None);
             };
-            let probe = am.probe(probe, ct);
+            let probe = am.probe(query, ct);
             let pages = match &scan.reader {
-                Some(r) => r.source().page_count(),
-                None => tree.expect("ensured").source().page_count(),
+                Some(r) => r.pages(),
+                None => tree.expect("ensured").pages(),
             };
             if scan.workers > 1 && pages >= PARALLEL_PAGE_THRESHOLD {
                 // The probe clears the page threshold: run it through

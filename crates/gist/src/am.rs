@@ -4,17 +4,22 @@
 //!
 //! The access method is the *generic skeleton*; the operator class
 //! carries the range strategy function, exactly the extension pattern
-//! the paper envisions.
+//! the paper envisions. Like `grtree_am` and `rstar_am`, it is a
+//! [`TreeAm`] on the blade's shared adaptor.
 
 use crate::ext::{IntRange, IntRangeExt};
-use crate::tree::{GistTree, GistTreeOptions};
+use crate::node::RawEntry;
+use crate::tree::{GistExtension, GistNodes, GistProbe, GistTree, GistTreeOptions};
+use crate::GistError;
+use grt_blade::tree_am::{self, am_err, DeletePolicy, Row, TreeAm};
 use grt_ids::opaque::OpaqueType;
 use grt_ids::vii::QualNode;
 use grt_ids::{
-    AccessMethod, AmContext, DataType, Database, IdsError, IndexDescriptor, RowId, ScanDescriptor,
-    Value,
+    AccessMethod, AmContext, DataType, Database, IdsError, IndexDescriptor, QualDescriptor, RowId,
+    ScanDescriptor, Value,
 };
-use grt_sbspace::{LoId, LockMode};
+use grt_sbspace::{LoHandle, NodeStore, PageSource, ParallelScanStats, SearchTree, TreeProbe};
+use grt_temporal::Day;
 use std::sync::Arc;
 
 /// The opaque type name.
@@ -74,76 +79,107 @@ fn range_to_value(r: &IntRange) -> Value {
     }
 }
 
-/// The generic access method instantiated for integer ranges.
+/// The generic access method instantiated for integer ranges. Index
+/// state, scans, restarts and costing come from the shared
+/// [`tree_am`] adaptor; what is left here is the range type.
 #[derive(Default)]
 pub struct GistRangeAm;
 
-struct TdState {
-    lo: LoId,
-    mode: LockMode,
-    tree: Option<GistTree<IntRangeExt>>,
+/// The range a row's key column holds.
+fn range_of_row(row: &[Value]) -> Result<IntRange, IdsError> {
+    range_of_value(
+        row.first()
+            .ok_or_else(|| IdsError::AccessMethod("no key column".into()))?,
+    )
 }
 
-struct ScanState {
-    query: IntRange,
-    cursor: crate::tree::GistCursor,
-}
+impl TreeAm for GistRangeAm {
+    type Codec = GistNodes<IntRangeExt>;
+    type Tree = GistTree<IntRangeExt>;
+    type Query = IntRange;
+    type Scan = ();
+    type Seen = (u64, Vec<u8>);
+    const METRICS: &'static str = "gist";
 
-fn gist_err(e: crate::GistError) -> IdsError {
-    IdsError::AccessMethod(e.to_string())
-}
-
-impl GistRangeAm {
-    fn with_td<R>(
-        &self,
-        idx: &IndexDescriptor,
-        ctx: &AmContext,
-        f: impl FnOnce(&mut TdState) -> Result<R, IdsError>,
-    ) -> Result<R, IdsError> {
-        let mut guard = idx.user_data.lock();
-        if guard.is_none() {
-            let lo = {
-                let frags = ctx.fragments.lock();
-                LoId(*frags.get(&idx.index_name).ok_or_else(|| {
-                    IdsError::AccessMethod(format!("index {} has no fragment", idx.index_name))
-                })?)
-            };
-            *guard = Some(Box::new(TdState {
-                lo,
-                mode: LockMode::Shared,
-                tree: None,
-            }));
-        }
-        let td = guard
-            .as_mut()
-            .and_then(|b| b.downcast_mut::<TdState>())
-            .ok_or_else(|| IdsError::AccessMethod("foreign index state".into()))?;
-        f(td)
+    fn open_tree(handle: LoHandle) -> Result<GistTree<IntRangeExt>, GistError> {
+        GistTree::open(IntRangeExt, handle)
+    }
+    fn into_lo(tree: GistTree<IntRangeExt>) -> Result<LoHandle, GistError> {
+        tree.into_lo()
     }
 
-    fn ensure_tree(&self, td: &mut TdState, ctx: &AmContext, write: bool) -> Result<(), IdsError> {
-        let need = if write {
-            LockMode::Exclusive
-        } else {
-            LockMode::Shared
+    /// `RangeOverlaps(column, constant)` probes its constant; no
+    /// qualification probes every range.
+    fn decompose(qual: &QualDescriptor) -> Result<Vec<IntRange>, IdsError> {
+        let query = match &qual.root {
+            Some(QualNode::Simple(q)) if q.func.eq_ignore_ascii_case("RangeOverlaps") => {
+                range_of_value(q.constant.as_ref().ok_or_else(|| {
+                    IdsError::AccessMethod("RangeOverlaps needs a constant".into())
+                })?)?
+            }
+            None => IntRange::new(i64::MIN / 2, i64::MAX / 2),
+            other => {
+                return Err(IdsError::AccessMethod(format!(
+                    "unsupported qualification {other:?}"
+                )))
+            }
         };
-        if td.tree.is_some() && (td.mode == LockMode::Exclusive || need == LockMode::Shared) {
-            return Ok(());
-        }
-        if let Some(tree) = td.tree.take() {
-            tree.into_lo().map_err(gist_err)?.close()?;
-        }
-        let handle = ctx.space.open_lo(ctx.txn, td.lo, need)?;
-        td.tree = Some(GistTree::open(IntRangeExt, handle).map_err(gist_err)?);
-        td.mode = need;
-        Ok(())
+        Ok(vec![query])
     }
 
-    fn range_of_row(row: &[Value]) -> Result<IntRange, IdsError> {
-        range_of_value(
-            row.first()
-                .ok_or_else(|| IdsError::AccessMethod("no key column".into()))?,
-        )
+    fn probe(&self, query: &IntRange, _ct: Day) -> GistProbe<IntRangeExt> {
+        GistProbe::new(IntRangeExt, *query)
+    }
+
+    fn seen(hit: &RawEntry) -> (u64, Vec<u8>) {
+        GistProbe::<IntRangeExt>::key(hit)
+    }
+
+    /// Leaf consistency is exact overlap, so every hit is a row.
+    fn accept(
+        &self,
+        _scan: &mut (),
+        _qual: &QualDescriptor,
+        hit: RawEntry,
+        _ct: Day,
+    ) -> Result<Option<Row>, IdsError> {
+        let key = IntRangeExt.decode_key(&hit.key).map_err(am_err)?;
+        Ok(Some((RowId(hit.payload), vec![range_to_value(&key)])))
+    }
+
+    fn trace_parallel(&self, ctx: &AmContext, stats: &ParallelScanStats, rows: usize) {
+        ctx.trace.emit_with("GIST", 2, || {
+            format!(
+                "parallel scan: degree {}, {} frontier subtrees, {rows} rows",
+                stats.workers, stats.frontier
+            )
+        });
+    }
+
+    /// The union of the root's keys against each query range.
+    fn coverage<S: PageSource>(
+        &self,
+        tree: &NodeStore<GistNodes<IntRangeExt>, S>,
+        queries: &[IntRange],
+        _ct: Day,
+    ) -> Result<Option<(i128, i128)>, IdsError> {
+        if tree.is_empty() {
+            return Ok(None);
+        }
+        let root = tree.read_node(tree.root()).map_err(am_err)?;
+        let keys = root
+            .entries
+            .iter()
+            .map(|e| IntRangeExt.decode_key(&e.key))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(am_err)?;
+        let b = IntRangeExt.union(&keys);
+        let len = |lo: i64, hi: i64| (hi as i128 - lo as i128 + 1).max(0);
+        let overlap = queries
+            .iter()
+            .map(|q| len(q.lo.max(b.lo), q.hi.min(b.hi)))
+            .sum();
+        Ok(Some((len(b.lo, b.hi), overlap)))
     }
 }
 
@@ -157,42 +193,17 @@ impl AccessMethod for GistRangeAm {
                 )))
             }
         }
-        let lo = ctx.space.create_lo(ctx.txn)?;
-        ctx.fragments.lock().insert(idx.index_name.clone(), lo.0);
-        let handle = ctx.space.open_lo(ctx.txn, lo, LockMode::Exclusive)?;
-        let tree =
-            GistTree::create(IntRangeExt, handle, GistTreeOptions::default()).map_err(gist_err)?;
-        *idx.user_data.lock() = Some(Box::new(TdState {
-            lo,
-            mode: LockMode::Exclusive,
-            tree: Some(tree),
-        }));
-        Ok(())
+        tree_am::create::<Self>(idx, ctx, ctx.clock.today(), |handle| {
+            GistTree::create(IntRangeExt, handle, GistTreeOptions::default())
+        })
     }
 
     fn am_drop(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        if let Some(boxed) = idx.user_data.lock().take() {
-            if let Ok(td) = boxed.downcast::<TdState>() {
-                if let Some(tree) = td.tree {
-                    tree.into_lo().map_err(gist_err)?.close()?;
-                }
-            }
-        }
-        if let Some(lo) = ctx.fragments.lock().remove(&idx.index_name) {
-            ctx.space.drop_lo(ctx.txn, LoId(lo))?;
-        }
-        Ok(())
+        tree_am::drop_index::<Self>(idx, ctx).map(drop)
     }
 
     fn am_close(&self, idx: &IndexDescriptor, _ctx: &AmContext) -> Result<(), IdsError> {
-        if let Some(boxed) = idx.user_data.lock().take() {
-            if let Ok(td) = boxed.downcast::<TdState>() {
-                if let Some(tree) = td.tree {
-                    tree.into_lo().map_err(gist_err)?.close()?;
-                }
-            }
-        }
-        Ok(())
+        tree_am::close::<Self>(idx).map(drop)
     }
 
     fn am_beginscan(
@@ -201,51 +212,44 @@ impl AccessMethod for GistRangeAm {
         scan: &mut ScanDescriptor,
         ctx: &AmContext,
     ) -> Result<(), IdsError> {
-        let query = match &scan.qual.root {
-            Some(QualNode::Simple(q)) if q.func.eq_ignore_ascii_case("RangeOverlaps") => {
-                range_of_value(q.constant.as_ref().ok_or_else(|| {
-                    IdsError::AccessMethod("RangeOverlaps needs a constant".into())
-                })?)?
-            }
-            None => IntRange::new(i64::MIN / 2, i64::MAX / 2),
-            other => {
-                return Err(IdsError::AccessMethod(format!(
-                    "unsupported qualification {other:?}"
-                )))
-            }
-        };
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            scan.user_data = Some(Box::new(ScanState {
-                query,
-                cursor: td.tree.as_ref().expect("ensured").cursor(),
-            }));
-            Ok(())
-        })
+        tree_am::beginscan::<Self>(idx, &scan.qual, ctx, ()).map(drop)
+    }
+
+    fn am_rescan(
+        &self,
+        idx: &IndexDescriptor,
+        _scan: &mut ScanDescriptor,
+        ctx: &AmContext,
+    ) -> Result<(), IdsError> {
+        tree_am::rescan::<Self>(idx, ctx)
     }
 
     fn am_getnext(
         &self,
         idx: &IndexDescriptor,
-        scan: &mut ScanDescriptor,
+        _scan: &mut ScanDescriptor,
         ctx: &AmContext,
-    ) -> Result<Option<(RowId, Vec<Value>)>, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            let tree = td.tree.as_ref().expect("ensured");
-            let state = scan
-                .user_data
-                .as_mut()
-                .and_then(|b| b.downcast_mut::<ScanState>())
-                .ok_or_else(|| IdsError::AccessMethod("getnext without beginscan".into()))?;
-            match tree
-                .cursor_next(&mut state.cursor, &state.query)
-                .map_err(gist_err)?
-            {
-                Some((key, rowid)) => Ok(Some((RowId(rowid), vec![range_to_value(&key)]))),
-                None => Ok(None),
-            }
-        })
+    ) -> Result<Option<Row>, IdsError> {
+        Ok(tree_am::getnext_batch(self, idx, ctx, 1)?.pop())
+    }
+
+    fn am_getnext_batch(
+        &self,
+        idx: &IndexDescriptor,
+        _scan: &mut ScanDescriptor,
+        max_rows: usize,
+        ctx: &AmContext,
+    ) -> Result<Vec<Row>, IdsError> {
+        tree_am::getnext_batch(self, idx, ctx, max_rows)
+    }
+
+    fn am_endscan(
+        &self,
+        idx: &IndexDescriptor,
+        _scan: &mut ScanDescriptor,
+        ctx: &AmContext,
+    ) -> Result<(), IdsError> {
+        tree_am::endscan::<Self>(idx, ctx).map(drop)
     }
 
     fn am_insert(
@@ -255,14 +259,9 @@ impl AccessMethod for GistRangeAm {
         rowid: RowId,
         ctx: &AmContext,
     ) -> Result<(), IdsError> {
-        let key = Self::range_of_row(row)?;
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            td.tree
-                .as_mut()
-                .expect("ensured")
-                .insert(&key, rowid.0)
-                .map_err(gist_err)
+        let key = range_of_row(row)?;
+        tree_am::with_tree::<Self, _>(idx, ctx, true, |tree, _ct| {
+            tree.insert(&key, rowid.0).map_err(am_err)
         })
     }
 
@@ -273,40 +272,29 @@ impl AccessMethod for GistRangeAm {
         rowid: RowId,
         ctx: &AmContext,
     ) -> Result<(), IdsError> {
-        let key = Self::range_of_row(row)?;
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            let out = td
-                .tree
-                .as_mut()
-                .expect("ensured")
-                .delete(&key, rowid.0)
-                .map_err(gist_err)?;
+        let key = range_of_row(row)?;
+        // A condensing delete restarts an open scan (Section 5.5).
+        tree_am::delete::<Self>(idx, ctx, DeletePolicy::RestartOnCondense, |tree, _ct| {
+            let out = tree.delete(&key, rowid.0).map_err(am_err)?;
             if !out.found {
                 return Err(IdsError::AccessMethod(format!("entry for {rowid} missing")));
             }
-            Ok(())
+            Ok(out.condensed)
         })
+        .map(drop)
     }
 
     fn am_scancost(
         &self,
         idx: &IndexDescriptor,
-        _qual: &grt_ids::QualDescriptor,
+        qual: &QualDescriptor,
         ctx: &AmContext,
     ) -> Result<f64, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            let tree = td.tree.as_ref().expect("ensured");
-            Ok(tree.height() as f64 + tree.pages() as f64 * 0.25)
-        })
+        tree_am::scancost(self, idx, qual, ctx)
     }
 
     fn am_check(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            td.tree.as_ref().expect("ensured").check().map_err(gist_err)
-        })
+        tree_am::with_tree::<Self, _>(idx, ctx, false, |tree, _ct| tree.check().map_err(am_err))
     }
 }
 

@@ -16,15 +16,17 @@
 //!   over an opaque, variable-length key;
 //! * [`GistTree`] is the generic, disk-resident tree skeleton over an
 //!   sbspace large object (one node per page, like every index in this
-//!   repository) — insertion, deletion with condensation, cursored
-//!   search, and consistency checking, all extension-agnostic;
+//!   repository) — insertion, deletion with condensation, and
+//!   consistency checking, all extension-agnostic — on the node store
+//!   and search scaffold every tree in this repository shares;
 //! * [`ext`] provides two classic instantiations: an interval tree over
 //!   `i64` ranges (B-tree-flavoured) and a 2-D rectangle tree
 //!   (R-tree-flavoured);
 //! * [`am`] wraps the interval instantiation as a full DataBlade-style
 //!   secondary access method (`gist_am`) pluggable into the `ids`
-//!   engine, with its own opaque type and strategy function — closing
-//!   the loop on the paper's "as a DataBlade" suggestion.
+//!   engine, with its own opaque type and strategy function, on the
+//!   blade crate's shared adaptor — closing the loop on the paper's
+//!   "as a DataBlade" suggestion.
 
 pub mod am;
 pub mod ext;
@@ -32,7 +34,7 @@ pub mod node;
 pub mod tree;
 
 pub use ext::{IntRange, IntRangeExt, RectExt, RectKey};
-pub use tree::{GistCursor, GistDeleteOutcome, GistExtension, GistTree, GistTreeOptions};
+pub use tree::{GistExtension, GistNodes, GistProbe, GistTree, GistTreeOptions};
 
 /// Errors from the GiST layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,24 +1,31 @@
 //! The generic tree skeleton.
 //!
-//! Everything structural — node I/O, descent, splitting, parent-key
-//! maintenance, deletion with condensation, cursors, invariant checks —
-//! lives here and never interprets a key. The four extension primitives
-//! of Hellerstein et al. supply all semantics.
+//! Everything structural — descent, splitting, parent-key maintenance,
+//! deletion with condensation, invariant checks — lives here and never
+//! interprets a key; the four extension primitives of Hellerstein et
+//! al. supply all semantics. Header, node I/O and page allocation come
+//! from the shared [`NodeStore`], searches from the shared scaffold of
+//! [`grt_sbspace::search`] through [`GistProbe`] — the same code the
+//! GR-tree and the R\*-tree run on.
 
 use crate::node::{RawEntry, RawNode};
 use crate::{GistError, Result};
 use grt_metrics::TreeMetrics;
-use grt_sbspace::page::{get_u32, get_u64, page_from_slice, put_u32, put_u64, PageBuf, PAGE_SIZE};
-use grt_sbspace::LoHandle;
+use grt_sbspace::page::{PageBuf, PAGE_SIZE};
+use grt_sbspace::{
+    ChildFate, DeleteOutcome, LoHandle, NodeCodec, NodeStore, SearchTree, TreeProbe,
+};
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 
 /// The extension interface: the primitive operations a tree-based
 /// access method must supply (HNP95's `Consistent`, `Union`, `Penalty`,
 /// `PickSplit` — `Compress`/`Decompress` are folded into the key codec).
-pub trait GistExtension: Send + Sync {
+pub trait GistExtension: Clone + Send + Sync + 'static {
     /// The decoded key type.
     type Key: Clone;
     /// The query type `consistent` tests against.
-    type Query;
+    type Query: Clone + Send + Sync;
 
     /// Serialises a key.
     fn encode_key(&self, key: &Self::Key, out: &mut Vec<u8>);
@@ -56,119 +63,119 @@ impl Default for GistTreeOptions {
     }
 }
 
-/// Outcome of a deletion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GistDeleteOutcome {
-    /// Whether the entry existed.
-    pub found: bool,
-    /// Whether condensation restructured the tree.
-    pub condensed: bool,
-}
+/// The generic tree's page layout: [`RawNode`] pages under a header
+/// with no fields of its own, searched by [`GistProbe`]s over `E`.
+pub struct GistNodes<E>(PhantomData<fn() -> E>);
 
-const META_MAGIC: &[u8; 4] = b"GSTH";
-const NO_PAGE: u32 = u32::MAX;
+impl<E: GistExtension> NodeCodec for GistNodes<E> {
+    const MAGIC: &'static [u8; 4] = b"GSTH";
+    type Params = ();
+    type Node = RawNode;
+    type Probe = GistProbe<E>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Meta {
-    root: u32,
-    height: u32,
-    count: u64,
-    min_fill: u32,
-    free_head: u32,
-}
-
-impl Meta {
-    fn encode(&self) -> PageBuf {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(META_MAGIC);
-        put_u32(&mut buf, 4, self.root);
-        put_u32(&mut buf, 8, self.height);
-        put_u64(&mut buf, 12, self.count);
-        put_u32(&mut buf, 20, self.min_fill);
-        put_u32(&mut buf, 24, self.free_head);
-        page_from_slice(&buf)
+    fn encode(node: &RawNode) -> Result<PageBuf> {
+        node.encode()
     }
-
-    fn decode(buf: &[u8; PAGE_SIZE]) -> Result<Meta> {
-        if &buf[0..4] != META_MAGIC {
-            return Err(GistError::Corrupt("bad gist header magic".into()));
+    fn decode(page: &[u8; PAGE_SIZE]) -> Result<RawNode> {
+        RawNode::decode(page)
+    }
+    fn only_child(node: &RawNode) -> Option<u32> {
+        match node.entries.as_slice() {
+            [only] if !node.is_leaf() => Some(only.payload as u32),
+            _ => None,
         }
-        Ok(Meta {
-            root: get_u32(buf.as_slice(), 4),
-            height: get_u32(buf.as_slice(), 8),
-            count: get_u64(buf.as_slice(), 12),
-            min_fill: get_u32(buf.as_slice(), 20),
-            free_head: get_u32(buf.as_slice(), 24),
-        })
+    }
+    fn put_params(_: &(), _: &mut [u8]) {}
+    fn get_params(_: &[u8]) {}
+}
+
+/// One search: the entries consistent with `query`. A hit is the raw
+/// leaf entry; [`GistTree::search`] decodes its key.
+pub struct GistProbe<E: GistExtension> {
+    ext: E,
+    query: E::Query,
+}
+
+impl<E: GistExtension> GistProbe<E> {
+    /// A probe for `query` under extension `ext`.
+    pub fn new(ext: E, query: E::Query) -> GistProbe<E> {
+        GistProbe { ext, query }
     }
 }
 
-/// The generic disk-resident tree.
+impl<E: GistExtension> TreeProbe for GistProbe<E> {
+    type Hit = RawEntry;
+    /// Rowid plus encoded key.
+    type Key = (u64, Vec<u8>);
+    type Error = GistError;
+
+    fn visit(
+        &self,
+        page: &[u8; PAGE_SIZE],
+        _metrics: &TreeMetrics,
+        kids: &mut Vec<u32>,
+        hits: &mut Vec<RawEntry>,
+    ) -> Result<()> {
+        let node = RawNode::decode(page)?;
+        let leaf = node.is_leaf();
+        for e in node.entries {
+            if !self
+                .ext
+                .consistent(&self.ext.decode_key(&e.key)?, &self.query, leaf)
+            {
+                continue;
+            }
+            if leaf {
+                hits.push(e);
+            } else {
+                kids.push(e.payload as u32);
+            }
+        }
+        Ok(())
+    }
+
+    fn key(e: &RawEntry) -> (u64, Vec<u8>) {
+        (e.payload, e.key.clone())
+    }
+}
+
+/// The generic disk-resident tree. Header, page allocation and search
+/// come from its [`NodeStore`], which the tree derefs to.
 pub struct GistTree<E: GistExtension> {
     ext: E,
-    lo: LoHandle,
-    meta: Meta,
-    /// Operation counters; detached by default, swapped for
-    /// registry-backed cells via [`GistTree::set_metrics`].
-    metrics: TreeMetrics,
+    store: NodeStore<GistNodes<E>>,
 }
 
-enum ChildFate {
-    Alive,
-    Dissolved(Vec<RawEntry>, u16),
+impl<E: GistExtension> Deref for GistTree<E> {
+    type Target = NodeStore<GistNodes<E>>;
+    fn deref(&self) -> &NodeStore<GistNodes<E>> {
+        &self.store
+    }
+}
+
+impl<E: GistExtension> DerefMut for GistTree<E> {
+    fn deref_mut(&mut self) -> &mut NodeStore<GistNodes<E>> {
+        &mut self.store
+    }
 }
 
 impl<E: GistExtension> GistTree<E> {
     /// Initialises a fresh tree inside an empty large object.
-    pub fn create(ext: E, mut lo: LoHandle, opts: GistTreeOptions) -> Result<GistTree<E>> {
-        if lo.page_count() != 0 {
-            return Err(GistError::Usage("large object not empty".into()));
-        }
-        let meta = Meta {
-            root: 1,
-            height: 1,
-            count: 0,
-            min_fill: opts.min_fill.max(1) as u32,
-            free_head: NO_PAGE,
-        };
-        lo.append_page(&meta.encode())?;
-        lo.append_page(&*RawNode::new(0).encode()?)?;
-        Ok(GistTree {
-            ext,
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
+    pub fn create(ext: E, lo: LoHandle, opts: GistTreeOptions) -> Result<GistTree<E>> {
+        let min_fill = opts.min_fill.max(1) as u32;
+        let store = NodeStore::create(lo, min_fill, (), &RawNode::new(0))?;
+        Ok(GistTree { ext, store })
     }
 
     /// Opens an existing tree with the matching extension.
     pub fn open(ext: E, lo: LoHandle) -> Result<GistTree<E>> {
-        let meta = Meta::decode(&*lo.read_page_pinned(0)?)?;
-        Ok(GistTree {
-            ext,
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
-    }
-
-    /// Replaces the operation counters, typically with
-    /// [`TreeMetrics::registered`] cells feeding an engine-wide registry.
-    pub fn set_metrics(&mut self, metrics: TreeMetrics) {
-        self.metrics = metrics;
-    }
-
-    /// The operation counters this tree bumps.
-    pub fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
+        let store = NodeStore::open(lo, TreeMetrics::default())?;
+        Ok(GistTree { ext, store })
     }
 
     /// Releases the large object (flushing the header when writable).
-    pub fn into_lo(mut self) -> Result<LoHandle> {
-        if self.lo.is_writable() {
-            self.write_meta()?;
-        }
-        Ok(self.lo)
+    pub fn into_lo(self) -> Result<LoHandle> {
+        Ok(self.store.into_lo()?)
     }
 
     /// The extension in use.
@@ -176,61 +183,9 @@ impl<E: GistExtension> GistTree<E> {
         &self.ext
     }
 
-    /// Number of indexed entries.
-    pub fn len(&self) -> u64 {
-        self.meta.count
-    }
-
-    /// True when the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.meta.count == 0
-    }
-
-    /// Tree height (1 = root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.meta.height
-    }
-
-    /// Total pages owned, header included.
-    pub fn pages(&self) -> u32 {
-        self.lo.page_count()
-    }
-
-    fn write_meta(&mut self) -> Result<()> {
-        self.lo.write_page(0, &self.meta.encode())?;
-        Ok(())
-    }
-
-    fn read_node(&self, page: u32) -> Result<RawNode> {
-        RawNode::decode(&*self.lo.read_page_pinned(page)?)
-    }
-
-    fn write_node(&mut self, page: u32, node: &RawNode) -> Result<()> {
-        self.lo.write_page(page, &*node.encode()?)?;
-        Ok(())
-    }
-
-    fn alloc_node(&mut self, node: &RawNode) -> Result<u32> {
-        if self.meta.free_head != NO_PAGE {
-            let page = self.meta.free_head;
-            let buf = self.lo.read_page_pinned(page)?;
-            if &buf[0..4] != b"GSTF" {
-                return Err(GistError::Corrupt("bad free-chain page".into()));
-            }
-            self.meta.free_head = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-            self.write_node(page, node)?;
-            return Ok(page);
-        }
-        Ok(self.lo.append_page(&*node.encode()?)?)
-    }
-
-    fn free_node(&mut self, page: u32) -> Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(b"GSTF");
-        buf[4..8].copy_from_slice(&self.meta.free_head.to_le_bytes());
-        self.lo.write_page(page, &page_from_slice(&buf))?;
-        self.meta.free_head = page;
-        Ok(())
+    /// A search for the entries consistent with `query`.
+    pub fn probe(&self, query: E::Query) -> GistProbe<E> {
+        GistProbe::new(self.ext.clone(), query)
     }
 
     fn entry_of(&self, key: &E::Key, payload: u64) -> RawEntry {
@@ -261,8 +216,7 @@ impl<E: GistExtension> GistTree<E> {
     pub fn insert(&mut self, key: &E::Key, rowid: u64) -> Result<()> {
         let entry = self.entry_of(key, rowid);
         self.insert_toplevel(entry, 0)?;
-        self.meta.count += 1;
-        self.write_meta()
+        Ok(self.finish_insert()?)
     }
 
     fn insert_toplevel(&mut self, entry: RawEntry, level: u16) -> Result<()> {
@@ -273,7 +227,7 @@ impl<E: GistExtension> GistTree<E> {
             let mut new_root = RawNode::new(old_root.level + 1);
             new_root.entries.push(left);
             new_root.entries.push(sibling);
-            let page = self.alloc_node(&new_root)?;
+            let page = self.alloc(&new_root)?;
             self.meta.root = page;
             self.meta.height += 1;
         }
@@ -309,7 +263,7 @@ impl<E: GistExtension> GistTree<E> {
             let (a, b) = self.split(&node)?;
             self.write_node(page, &a)?;
             let b_key = self.node_union(&b)?;
-            let b_page = self.alloc_node(&b)?;
+            let b_page = self.alloc(&b)?;
             return Ok(Some(self.entry_of(&b_key, b_page as u64)));
         }
         self.write_node(page, &node)?;
@@ -317,7 +271,7 @@ impl<E: GistExtension> GistTree<E> {
     }
 
     fn split(&self, node: &RawNode) -> Result<(RawNode, RawNode)> {
-        self.metrics.splits.inc();
+        self.metrics().splits.inc();
         let keys = self.keys_of(node)?;
         let (left_idx, right_idx) = self.ext.pick_split(&keys);
         if left_idx.is_empty() || right_idx.is_empty() {
@@ -338,41 +292,20 @@ impl<E: GistExtension> GistTree<E> {
     }
 
     /// Deletes the entry `(key, rowid)`.
-    pub fn delete(&mut self, key: &E::Key, rowid: u64) -> Result<GistDeleteOutcome> {
+    pub fn delete(&mut self, key: &E::Key, rowid: u64) -> Result<DeleteOutcome> {
         let root = self.meta.root;
         let mut orphans: Vec<(Vec<RawEntry>, u16)> = Vec::new();
         let removed = self.delete_rec(root, key, rowid, &mut orphans)?;
         if removed.is_none() {
-            return Ok(GistDeleteOutcome {
-                found: false,
-                condensed: false,
-            });
+            return Ok(DeleteOutcome::default());
         }
         let condensed = !orphans.is_empty();
-        if condensed {
-            self.metrics.condenses.inc();
-        }
         for (entries, level) in orphans {
             for entry in entries {
                 self.insert_toplevel(entry, level)?;
             }
         }
-        loop {
-            let root_node = self.read_node(self.meta.root)?;
-            if root_node.is_leaf() || root_node.entries.len() != 1 {
-                break;
-            }
-            let old = self.meta.root;
-            self.meta.root = root_node.entries[0].payload as u32;
-            self.meta.height -= 1;
-            self.free_node(old)?;
-        }
-        self.meta.count -= 1;
-        self.write_meta()?;
-        Ok(GistDeleteOutcome {
-            found: true,
-            condensed,
-        })
+        self.finish_delete(condensed)
     }
 
     fn delete_rec(
@@ -381,7 +314,7 @@ impl<E: GistExtension> GistTree<E> {
         key: &E::Key,
         rowid: u64,
         orphans: &mut Vec<(Vec<RawEntry>, u16)>,
-    ) -> Result<Option<ChildFate>> {
+    ) -> Result<Option<ChildFate<RawEntry>>> {
         let mut node = self.read_node(page)?;
         let is_root = page == self.meta.root;
         let min_fill = self.meta.min_fill as usize;
@@ -422,7 +355,7 @@ impl<E: GistExtension> GistTree<E> {
                 }
                 Some(ChildFate::Dissolved(entries, level)) => {
                     orphans.push((entries, level));
-                    self.free_node(child)?;
+                    self.free(child)?;
                     node.entries.remove(idx);
                 }
             }
@@ -441,93 +374,30 @@ impl<E: GistExtension> GistTree<E> {
 
     /// Collects all `(key, rowid)` pairs consistent with `query`.
     pub fn search(&self, query: &E::Query) -> Result<Vec<(E::Key, u64)>> {
+        let mut cursor = self.cursor(self.probe(query.clone()));
         let mut out = Vec::new();
-        let mut cursor = self.cursor();
-        while let Some(hit) = self.cursor_next(&mut cursor, query)? {
-            out.push(hit);
+        while let Some(e) = self.cursor_next(&mut cursor)? {
+            out.push((self.ext.decode_key(&e.key)?, e.payload));
         }
         Ok(out)
-    }
-
-    /// Opens a scan cursor.
-    pub fn cursor(&self) -> GistCursor {
-        self.metrics.searches.inc();
-        GistCursor {
-            stack: Vec::new(),
-            root: self.meta.root,
-            primed: false,
-        }
-    }
-
-    /// Advances a cursor to the next entry consistent with `query`.
-    pub fn cursor_next(
-        &self,
-        cursor: &mut GistCursor,
-        query: &E::Query,
-    ) -> Result<Option<(E::Key, u64)>> {
-        if !cursor.primed {
-            cursor.primed = true;
-            let node = self.read_node(cursor.root)?;
-            self.metrics.nodes_visited.inc();
-            cursor.stack.push((node, 0));
-        }
-        loop {
-            let Some((node, next)) = cursor.stack.last_mut() else {
-                return Ok(None);
-            };
-            if *next >= node.entries.len() {
-                cursor.stack.pop();
-                continue;
-            }
-            let entry = node.entries[*next].clone();
-            let level = node.level;
-            *next += 1;
-            let key = self.ext.decode_key(&entry.key)?;
-            if !self.ext.consistent(&key, query, level == 0) {
-                continue;
-            }
-            if level == 0 {
-                return Ok(Some((key, entry.payload)));
-            }
-            let child = self.read_node(entry.payload as u32)?;
-            self.metrics.nodes_visited.inc();
-            cursor.stack.push((child, 0));
-        }
     }
 
     /// Verifies structural invariants: parent keys cover child unions
     /// (zero penalty), levels decrease, counts match.
     pub fn check(&self) -> Result<()> {
         let mut leaves = 0u64;
-        self.check_rec(self.meta.root, None, true, &mut leaves)?;
-        if leaves != self.meta.count {
-            return Err(GistError::Corrupt(format!(
-                "count mismatch: header {} vs leaves {leaves}",
-                self.meta.count
-            )));
-        }
-        Ok(())
+        self.check_rec(self.meta.root, None, &mut leaves)?;
+        Ok(self.check_count(leaves)?)
     }
 
     fn check_rec(
         &self,
         page: u32,
         expect_level: Option<u16>,
-        is_root: bool,
         leaves: &mut u64,
     ) -> Result<Option<E::Key>> {
         let node = self.read_node(page)?;
-        if let Some(l) = expect_level {
-            if node.level != l {
-                return Err(GistError::Corrupt(format!(
-                    "page {page}: level {} expected {l}",
-                    node.level
-                )));
-            }
-        }
-        if !is_root && node.entries.len() < self.meta.min_fill as usize {
-            return Err(GistError::Corrupt(format!("page {page}: underfull")));
-        }
+        self.check_node(page, node.level, expect_level, node.entries.len())?;
         if node.is_leaf() {
             *leaves += node.entries.len() as u64;
             if node.entries.is_empty() {
@@ -538,7 +408,7 @@ impl<E: GistExtension> GistTree<E> {
         for e in &node.entries {
             let parent_key = self.ext.decode_key(&e.key)?;
             let child_union = self
-                .check_rec(e.payload as u32, Some(node.level - 1), false, leaves)?
+                .check_rec(e.payload as u32, Some(node.level - 1), leaves)?
                 .ok_or_else(|| GistError::Corrupt(format!("page {page}: empty child")))?;
             if self.ext.penalty(&parent_key, &child_union) != 0 {
                 return Err(GistError::Corrupt(format!(
@@ -550,19 +420,13 @@ impl<E: GistExtension> GistTree<E> {
     }
 }
 
-/// A depth-first scan cursor (node images cached per stack frame).
-pub struct GistCursor {
-    stack: Vec<(RawNode, usize)>,
-    root: u32,
-    primed: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A deliberately broken extension: pick_split returns an empty
     /// group. The skeleton must reject it instead of corrupting.
+    #[derive(Clone)]
     struct BadSplit;
     impl GistExtension for BadSplit {
         type Key = i64;

@@ -2,10 +2,14 @@
 //! structural invariants under churn, and the full DataBlade wiring.
 
 use grt_gist::am::install_gist_blade;
-use grt_gist::{GistTree, GistTreeOptions, IntRange, IntRangeExt, RectExt, RectKey};
+use grt_gist::{GistNodes, GistTree, GistTreeOptions, IntRange, IntRangeExt, RectExt, RectKey};
 use grt_ids::{Database, DatabaseOptions, Value};
-use grt_sbspace::{IsolationLevel, LoHandle, LockMode, Sbspace, SbspaceOptions};
+use grt_metrics::TreeMetrics;
+use grt_sbspace::{
+    IsolationLevel, LoHandle, LockMode, Sbspace, SbspaceOptions, SearchTree, TreeReader,
+};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn fresh_lo() -> LoHandle {
     let sb = Sbspace::mem(SbspaceOptions {
@@ -157,6 +161,165 @@ fn gist_blade_serves_sql() {
         .exec("SELECT id FROM spans WHERE RangeOverlaps(r, '100..120')")
         .unwrap();
     assert!(r.rows.iter().all(|row| row[0] != Value::Int(19)));
+}
+
+/// Ranges of varied length, enough of them for a tree of height > 1.
+fn spans(n: i64) -> Vec<IntRange> {
+    (0..n)
+        .map(|i| IntRange::new((i * 37) % 2000, (i * 37) % 2000 + i % 23))
+        .collect()
+}
+
+/// The rowids a linear scan finds overlapping `q`.
+fn oracle(data: &[IntRange], q: &IntRange) -> Vec<u64> {
+    let mut ids: Vec<u64> = (0..data.len() as u64)
+        .filter(|&i| data[i as usize].overlaps(q))
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Drains a fresh cursor over `tree`, returning sorted rowids.
+fn drain<T: SearchTree<Probe = grt_gist::GistProbe<IntRangeExt>>>(
+    tree: &T,
+    q: IntRange,
+) -> Vec<u64> {
+    let mut cursor = tree.cursor(grt_gist::GistProbe::new(IntRangeExt, q));
+    let mut ids = Vec::new();
+    while let Some(hit) = tree.cursor_next(&mut cursor).unwrap() {
+        ids.push(hit.payload);
+    }
+    ids.sort_unstable();
+    ids
+}
+
+#[test]
+fn serial_parallel_snapshot_and_oracle_agree() {
+    let sb = Sbspace::mem(SbspaceOptions {
+        pool_pages: 8192,
+        ..Default::default()
+    });
+    let data = spans(3000);
+    let txn = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&txn).unwrap();
+    let handle = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
+    let mut tree = GistTree::create(IntRangeExt, handle, GistTreeOptions::default()).unwrap();
+    for (i, r) in data.iter().enumerate() {
+        tree.insert(r, i as u64).unwrap();
+    }
+    assert!(tree.height() > 1, "the parallel scan needs a frontier");
+    let queries = [
+        IntRange::new(0, 50),
+        IntRange::new(700, 1400),
+        IntRange::point(1999),
+        IntRange::new(-100, -1),
+        IntRange::new(i64::MIN / 2, i64::MAX / 2),
+    ];
+    for q in queries {
+        let want = oracle(&data, &q);
+        assert_eq!(drain(&*tree, q), want, "serial cursor, {q:?}");
+        let par = tree.parallel_scan(&tree.probe(q), 2).unwrap();
+        let mut got: Vec<u64> = par.rows.iter().map(|e| e.payload).collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "parallel scan, {q:?}");
+    }
+    drop(tree.into_lo().unwrap());
+    txn.commit().unwrap();
+
+    let snap = sb.snapshot_for(&[lo]).unwrap();
+    let reader = TreeReader::<GistNodes<IntRangeExt>>::open(
+        snap.reader(lo).unwrap(),
+        TreeMetrics::default(),
+    )
+    .unwrap();
+    assert_eq!(reader.len(), data.len() as u64);
+    for q in queries {
+        assert_eq!(
+            drain(&reader, q),
+            oracle(&data, &q),
+            "snapshot reader, {q:?}"
+        );
+    }
+    drop((reader, snap));
+    assert_eq!(sb.snapshots_open(), 0);
+}
+
+#[test]
+fn cursor_restart_does_not_replay_emitted_rows() {
+    let mut tree =
+        GistTree::create(IntRangeExt, fresh_lo(), GistTreeOptions { min_fill: 3 }).unwrap();
+    let data: Vec<IntRange> = (0..300).map(|i| IntRange::new(i, i + 4)).collect();
+    for (i, r) in data.iter().enumerate() {
+        tree.insert(r, i as u64).unwrap();
+    }
+    let q = IntRange::new(0, 400);
+    let mut cursor = tree.cursor(tree.probe(q));
+    let mut got = Vec::new();
+    for _ in 0..3 {
+        let hit = tree
+            .cursor_next(&mut cursor)
+            .unwrap()
+            .expect("tree has rows");
+        got.push(hit.payload);
+    }
+    // Condense mid-scan, deleting only rows not yet returned.
+    let mut condensed = false;
+    for (i, r) in data.iter().enumerate() {
+        if got.contains(&(i as u64)) {
+            continue;
+        }
+        if tree.delete(r, i as u64).unwrap().condensed {
+            condensed = true;
+            break;
+        }
+    }
+    assert!(condensed);
+    tree.cursor_restart(&mut cursor);
+    while let Some(hit) = tree.cursor_next(&mut cursor).unwrap() {
+        got.push(hit.payload);
+    }
+    let unique: HashSet<u64> = got.iter().copied().collect();
+    assert_eq!(
+        unique.len(),
+        got.len(),
+        "restart re-returned rows already emitted before the condense"
+    );
+    for (_, id) in tree.search(&q).unwrap() {
+        assert!(unique.contains(&id), "row {id} lost across restart");
+    }
+    tree.check().unwrap();
+}
+
+#[test]
+fn index_scan_counters_reach_the_registry() {
+    let db = Database::new(DatabaseOptions::default());
+    install_gist_blade(&db).unwrap();
+    let conn = db.connect();
+    conn.exec("CREATE TABLE spans (id integer, r IntRange_t)")
+        .unwrap();
+    conn.exec("CREATE INDEX span_ix ON spans(r gist_range_ops) USING gist_am")
+        .unwrap();
+    for i in 0..600i64 {
+        conn.exec(&format!(
+            "INSERT INTO spans VALUES ({i}, '{}..{}')",
+            i * 5,
+            i * 5 + 8
+        ))
+        .unwrap();
+    }
+    let before = db.metrics_snapshot();
+    let r = conn
+        .exec("SELECT id FROM spans WHERE RangeOverlaps(r, '100..120')")
+        .unwrap();
+    assert_eq!(r.rows.len(), 6);
+    let d = db.metrics_snapshot().since(&before);
+    assert_eq!(
+        d.get("ids.plans_index"),
+        1,
+        "the probe must use the index: {d}"
+    );
+    assert!(d.get("gist.searches") > 0, "{d}");
+    assert!(d.get("gist.nodes_visited") > 0, "{d}");
 }
 
 proptest! {

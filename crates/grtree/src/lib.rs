@@ -57,9 +57,10 @@ pub mod tree;
 
 pub use concurrent::ConcurrentGrTree;
 pub use entry::{GrNode, InternalEntry, LeafEntry};
+pub use meta::{root_bound, GrParams};
 pub use search::{GrProbe, GrTreeReader};
 pub use stats::GrQuality;
-pub use tree::{GrDeleteOutcome, GrTree, GrTreeOptions};
+pub use tree::{GrTree, GrTreeOptions};
 
 /// Errors from the GR-tree layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,19 +1,18 @@
 //! GR-tree searches on the shared scaffold of
 //! [`grt_sbspace::search`]: the [`GrProbe`] that tests node entries
-//! with the NOW/UC resolution algorithm, and the [`GrTreeReader`]
-//! frozen view snapshot statements read through. The locked
-//! [`GrTree`] is searched the same way, serially or in parallel.
+//! with the NOW/UC resolution algorithm. The locked
+//! [`GrTree`](crate::GrTree) and the [`GrTreeReader`] frozen view
+//! snapshot statements read through are searched the same way,
+//! serially or in parallel.
 //!
 //! A probe captures the current time at creation and keeps it for the
 //! whole scan — the paper's per-statement current-time rule
 //! (Section 5.4).
 
 use crate::entry::GrNode;
-use crate::meta::GrMeta;
-use crate::tree::GrTree;
 use crate::{GrError, Result};
 use grt_metrics::TreeMetrics;
-use grt_sbspace::{LoHandle, LoReader, SearchTree, TreeProbe, PAGE_SIZE};
+use grt_sbspace::{TreeProbe, TreeReader, PAGE_SIZE};
 use grt_temporal::{Day, Predicate, Region, TimeExtent, VtEnd};
 
 /// One GR-tree search: the predicate, the query extent, and the current
@@ -92,80 +91,5 @@ impl TreeProbe for GrProbe {
     }
 }
 
-impl SearchTree for GrTree {
-    type Source = LoHandle;
-    type Probe = GrProbe;
-
-    fn source(&self) -> &LoHandle {
-        &self.lo
-    }
-    fn root(&self) -> u32 {
-        self.meta.root
-    }
-    fn height(&self) -> u32 {
-        self.meta.height
-    }
-    fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
-    }
-}
-
-/// A `Send + Sync` read-only handle on a disk-resident GR-tree: a
-/// space-snapshot [`LoReader`] plus the header decoded at creation,
-/// valid while that snapshot stays open — the engine's lock-free read
-/// path. The view is frozen, so a concurrent condense never moves nodes
-/// out from under its scans.
-pub struct GrTreeReader {
-    reader: LoReader,
-    meta: GrMeta,
-    metrics: TreeMetrics,
-}
-
-impl GrTreeReader {
-    /// Opens a reader directly over a large-object view, decoding the
-    /// tree header from page 0. No tree (or LO-level lock) is involved:
-    /// this is how a snapshot read mounts an index.
-    pub fn open(reader: LoReader, metrics: TreeMetrics) -> Result<GrTreeReader> {
-        let meta = GrMeta::decode(&*reader.read_page_pinned(0)?)?;
-        Ok(GrTreeReader {
-            reader,
-            meta,
-            metrics,
-        })
-    }
-
-    /// Number of indexed entries.
-    pub fn len(&self) -> u64 {
-        self.meta.count
-    }
-
-    /// True when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.meta.count == 0
-    }
-
-    /// The root node's bounding region resolved at `ct`, or `None` for
-    /// an empty tree — the planner's selectivity input, mirroring
-    /// [`GrTree::root_bound`].
-    pub fn root_bound(&self, ct: Day) -> Result<Option<Region>> {
-        self.meta.root_bound(&self.reader, ct)
-    }
-}
-
-impl SearchTree for GrTreeReader {
-    type Source = LoReader;
-    type Probe = GrProbe;
-
-    fn source(&self) -> &LoReader {
-        &self.reader
-    }
-    fn root(&self) -> u32 {
-        self.meta.root
-    }
-    fn height(&self) -> u32 {
-        self.meta.height
-    }
-    fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
-    }
-}
+/// The frozen view snapshot statements read a GR-tree through.
+pub type GrTreeReader = TreeReader<GrNode>;

@@ -2,14 +2,15 @@
 //! deletion with condensation, and NOW/UC-aware search.
 
 use crate::entry::{GrNode, InternalEntry, LeafEntry, MAX_FANOUT};
-use crate::meta::{decode_free, encode_free, GrMeta, NO_PAGE};
+use crate::meta::GrParams;
 use crate::search::GrProbe;
 use crate::stats::GrQuality;
 use crate::{GrError, Result};
 use grt_metrics::TreeMetrics;
-use grt_sbspace::{LoHandle, SearchTree};
-use grt_temporal::{bound_entries, Day, Predicate, Region, RegionSpec, TimeExtent};
+use grt_sbspace::{ChildFate, DeleteOutcome, LoHandle, NodeStore, SearchTree};
+use grt_temporal::{bound_entries, Day, Predicate, RegionSpec, TimeExtent};
 use std::collections::HashSet;
+use std::ops::{Deref, DerefMut};
 
 /// Construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -41,16 +42,6 @@ impl Default for GrTreeOptions {
     }
 }
 
-/// Outcome of a deletion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrDeleteOutcome {
-    /// Whether the entry existed.
-    pub found: bool,
-    /// Whether the tree was condensed — open cursors must restart
-    /// (the paper's Section 5.5 rule).
-    pub condensed: bool,
-}
-
 /// Either kind of entry, with its reinsertion level.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum AnyEntry {
@@ -67,165 +58,73 @@ impl AnyEntry {
     }
 }
 
-/// A disk-resident GR-tree owning its large-object handle.
+/// A disk-resident GR-tree owning its large-object handle. Header,
+/// page allocation and search come from its [`NodeStore`], which the
+/// tree derefs to.
 pub struct GrTree {
-    pub(crate) lo: LoHandle,
-    pub(crate) meta: GrMeta,
-    /// Operation counters; detached by default, swapped for
-    /// registry-backed cells via [`GrTree::set_metrics`].
-    pub(crate) metrics: TreeMetrics,
+    store: NodeStore<GrNode>,
 }
 
-enum ChildFate {
-    Alive,
-    Dissolved(Vec<AnyEntry>, u16),
+impl Deref for GrTree {
+    type Target = NodeStore<GrNode>;
+    fn deref(&self) -> &NodeStore<GrNode> {
+        &self.store
+    }
+}
+
+impl DerefMut for GrTree {
+    fn deref_mut(&mut self) -> &mut NodeStore<GrNode> {
+        &mut self.store
+    }
 }
 
 impl GrTree {
     /// Initialises a fresh tree inside an (empty) large object.
-    pub fn create(mut lo: LoHandle, opts: GrTreeOptions) -> Result<GrTree> {
-        if lo.page_count() != 0 {
-            return Err(GrError::Usage("large object not empty".into()));
-        }
+    pub fn create(lo: LoHandle, opts: GrTreeOptions) -> Result<GrTree> {
         let max_entries = opts.max_entries.clamp(4, MAX_FANOUT) as u32;
         let min_fill = (max_entries * opts.min_fill_pct.clamp(10, 50) / 100).max(2);
-        let meta = GrMeta {
-            root: 1,
-            height: 1,
-            count: 0,
+        let params = GrParams {
             max_entries,
-            min_fill,
-            free_head: NO_PAGE,
             reinsert_pct: opts.reinsert_pct.min(45),
             time_param: opts.time_param,
             rectangle_only: opts.rectangle_only,
         };
-        lo.append_page(&meta.encode())?;
-        lo.append_page(&GrNode::Leaf(Vec::new()).encode())?;
-        Ok(GrTree {
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
+        let store = NodeStore::create(lo, min_fill, params, &GrNode::Leaf(Vec::new()))?;
+        Ok(GrTree { store })
     }
 
     /// Opens an existing tree.
     pub fn open(lo: LoHandle) -> Result<GrTree> {
-        let meta = GrMeta::decode(&*lo.read_page_pinned(0)?)?;
-        Ok(GrTree {
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
-    }
-
-    /// Replaces the operation counters, typically with
-    /// [`TreeMetrics::registered`] cells so this tree's splits,
-    /// condenses and search costs show up in an engine-wide registry.
-    pub fn set_metrics(&mut self, metrics: TreeMetrics) {
-        self.metrics = metrics;
+        let store = NodeStore::open(lo, TreeMetrics::default())?;
+        Ok(GrTree { store })
     }
 
     /// Releases the large-object handle, flushing the header when the
     /// handle is writable (read-only opens never changed it).
-    pub fn into_lo(mut self) -> Result<LoHandle> {
-        if self.lo.is_writable() {
-            self.write_meta()?;
-        }
-        Ok(self.lo)
-    }
-
-    /// Number of indexed entries.
-    pub fn len(&self) -> u64 {
-        self.meta.count
-    }
-
-    /// True when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.meta.count == 0
+    pub fn into_lo(self) -> Result<LoHandle> {
+        Ok(self.store.into_lo()?)
     }
 
     /// Maximum node fan-out of this tree instance.
     pub fn max_entries(&self) -> usize {
-        self.meta.max_entries as usize
-    }
-
-    /// Minimum fill of non-root nodes of this tree instance.
-    pub fn min_fill(&self) -> usize {
-        self.meta.min_fill as usize
-    }
-
-    /// Total pages owned, header included.
-    pub fn pages(&self) -> u32 {
-        self.lo.page_count()
-    }
-
-    fn write_meta(&mut self) -> Result<()> {
-        self.lo.write_page(0, &self.meta.encode())?;
-        Ok(())
-    }
-
-    /// Reads the node at `page` (public for dumps and stats).
-    pub fn read_node(&self, page: u32) -> Result<GrNode> {
-        GrNode::decode(&*self.lo.read_page_pinned(page)?)
-    }
-
-    fn write_node(&mut self, page: u32, node: &GrNode) -> Result<()> {
-        self.lo.write_page(page, &node.encode())?;
-        Ok(())
-    }
-
-    fn alloc_node(&mut self, node: &GrNode) -> Result<u32> {
-        if self.meta.free_head != NO_PAGE {
-            let page = self.meta.free_head;
-            self.meta.free_head = decode_free(&*self.lo.read_page_pinned(page)?)?;
-            self.write_node(page, node)?;
-            return Ok(page);
-        }
-        Ok(self.lo.append_page(&node.encode())?)
-    }
-
-    fn free_node(&mut self, page: u32) -> Result<()> {
-        let img = encode_free(self.meta.free_head);
-        self.lo.write_page(page, &img)?;
-        self.meta.free_head = page;
-        Ok(())
+        self.meta.params.max_entries as usize
     }
 
     /// The reference time for insertion penalties: `ct + time_param`.
     fn tref(&self, ct: Day) -> Day {
-        ct.plus(self.meta.time_param as i32)
+        ct.plus(self.meta.params.time_param as i32)
     }
 
     /// Reconstructs the construction options (for rebuilds).
     pub fn options(&self) -> GrTreeOptions {
+        let p = self.meta.params;
         GrTreeOptions {
-            max_entries: self.meta.max_entries as usize,
-            min_fill_pct: (self.meta.min_fill * 100 / self.meta.max_entries).max(10),
-            reinsert_pct: self.meta.reinsert_pct,
-            time_param: self.meta.time_param,
-            rectangle_only: self.meta.rectangle_only,
+            max_entries: p.max_entries as usize,
+            min_fill_pct: (self.meta.min_fill * 100 / p.max_entries).max(10),
+            reinsert_pct: p.reinsert_pct,
+            time_param: p.time_param,
+            rectangle_only: p.rectangle_only,
         }
-    }
-
-    /// The root node's bounding region resolved at `ct`, or `None` for
-    /// an empty tree. The planner's selectivity estimate compares a
-    /// query region against this bound.
-    pub fn root_bound(&self, ct: Day) -> Result<Option<Region>> {
-        self.meta.root_bound(&self.lo, ct)
-    }
-
-    /// Appends a packed node during bulk load (no balancing).
-    pub(crate) fn bulk_append(&mut self, node: &GrNode) -> Result<u32> {
-        Ok(self.lo.append_page(&node.encode())?)
-    }
-
-    /// Installs the bulk-loaded root and counters.
-    pub(crate) fn bulk_finish(&mut self, root: u32, height: u32, count: u64) -> Result<()> {
-        self.meta.root = root;
-        self.meta.height = height.max(1);
-        self.meta.count = count;
-        self.write_meta()
     }
 
     /// Inserts a tuple's time extent at current time `ct`.
@@ -237,8 +136,7 @@ impl GrTree {
         while let Some((entry, level)) = pending.pop() {
             self.insert_toplevel(entry, level, ct, &mut reinserted, &mut pending)?;
         }
-        self.meta.count += 1;
-        self.write_meta()
+        Ok(self.finish_insert()?)
     }
 
     fn insert_toplevel(
@@ -253,14 +151,14 @@ impl GrTree {
         if let Some(sibling) = self.insert_rec(root, entry, level, ct, reinserted, pending)? {
             let old_root_node = self.read_node(root)?;
             let left = InternalEntry {
-                spec: self.meta.node_bound(&old_root_node, ct),
+                spec: self.meta.params.node_bound(&old_root_node, ct),
                 child: root,
             };
             let new_root = GrNode::Internal {
                 level: old_root_node.level() + 1,
                 entries: vec![left, sibling],
             };
-            let new_root_page = self.alloc_node(&new_root)?;
+            let new_root_page = self.alloc(&new_root)?;
             self.meta.root = new_root_page;
             self.meta.height += 1;
         }
@@ -291,7 +189,7 @@ impl GrTree {
             let child = entries[idx].child;
             let split = self.insert_rec(child, entry, target_level, ct, reinserted, pending)?;
             // Refresh the chosen child's bounding region.
-            let child_bound = self.meta.node_bound(&self.read_node(child)?, ct);
+            let child_bound = self.meta.params.node_bound(&self.read_node(child)?, ct);
             let GrNode::Internal { entries, .. } = &mut node else {
                 unreachable!()
             };
@@ -300,9 +198,9 @@ impl GrTree {
                 entries.push(sibling);
             }
         }
-        if node.len() > self.meta.max_entries as usize {
+        if node.len() > self.max_entries() {
             let is_root = page == self.meta.root;
-            if !is_root && self.meta.reinsert_pct > 0 && reinserted.insert(node.level()) {
+            if !is_root && self.meta.params.reinsert_pct > 0 && reinserted.insert(node.level()) {
                 let evicted = self.forced_reinsert(&mut node, ct);
                 self.write_node(page, &node)?;
                 let level = node.level();
@@ -313,8 +211,8 @@ impl GrTree {
             }
             let (a, b) = self.split(node, ct);
             self.write_node(page, &a)?;
-            let b_bound = self.meta.node_bound(&b, ct);
-            let b_page = self.alloc_node(&b)?;
+            let b_bound = self.meta.params.node_bound(&b, ct);
+            let b_page = self.alloc(&b)?;
             return Ok(Some(InternalEntry {
                 spec: b_bound,
                 child: b_page,
@@ -328,8 +226,8 @@ impl GrTree {
     /// farthest from the node's resolved centre.
     fn forced_reinsert(&self, node: &mut GrNode, ct: Day) -> Vec<AnyEntry> {
         let tref = self.tref(ct);
-        let k = ((node.len() * self.meta.reinsert_pct as usize) / 100).max(1);
-        self.metrics.reinserts.add(k as u64);
+        let k = ((node.len() * self.meta.params.reinsert_pct as usize) / 100).max(1);
+        self.metrics().reinserts.add(k as u64);
         let node_mbr = node.bound(ct).resolve(tref).mbr();
         let center_key = |spec: &RegionSpec| {
             let m = spec.resolve(tref).mbr();
@@ -400,7 +298,7 @@ impl GrTree {
     /// GR-tree split: R\*-style axis and distribution selection over
     /// regions resolved at `ct + time_param`.
     fn split(&self, node: GrNode, ct: Day) -> (GrNode, GrNode) {
-        self.metrics.splits.inc();
+        self.metrics().splits.inc();
         let tref = self.tref(ct);
         let m = self.meta.min_fill as usize;
         let level = node.level();
@@ -487,20 +385,14 @@ impl GrTree {
     }
 
     /// Deletes the entry `(extent, rowid)` at current time `ct`.
-    pub fn delete(&mut self, extent: &TimeExtent, rowid: u64, ct: Day) -> Result<GrDeleteOutcome> {
+    pub fn delete(&mut self, extent: &TimeExtent, rowid: u64, ct: Day) -> Result<DeleteOutcome> {
         let root = self.meta.root;
         let mut orphans: Vec<(Vec<AnyEntry>, u16)> = Vec::new();
         let removed = self.delete_rec(root, extent, rowid, ct, &mut orphans)?;
         if removed.is_none() {
-            return Ok(GrDeleteOutcome {
-                found: false,
-                condensed: false,
-            });
+            return Ok(DeleteOutcome::default());
         }
         let condensed = !orphans.is_empty();
-        if condensed {
-            self.metrics.condenses.inc();
-        }
         for (entries, level) in orphans {
             for entry in entries {
                 let mut reinserted = HashSet::new();
@@ -510,25 +402,7 @@ impl GrTree {
                 }
             }
         }
-        loop {
-            let root_node = self.read_node(self.meta.root)?;
-            let GrNode::Internal { entries, .. } = &root_node else {
-                break;
-            };
-            if entries.len() != 1 {
-                break;
-            }
-            let old = self.meta.root;
-            self.meta.root = entries[0].child;
-            self.meta.height -= 1;
-            self.free_node(old)?;
-        }
-        self.meta.count -= 1;
-        self.write_meta()?;
-        Ok(GrDeleteOutcome {
-            found: true,
-            condensed,
-        })
+        self.finish_delete(condensed)
     }
 
     fn delete_rec(
@@ -538,7 +412,7 @@ impl GrTree {
         rowid: u64,
         ct: Day,
         orphans: &mut Vec<(Vec<AnyEntry>, u16)>,
-    ) -> Result<Option<ChildFate>> {
+    ) -> Result<Option<ChildFate<AnyEntry>>> {
         let mut node = self.read_node(page)?;
         let is_root = page == self.meta.root;
         let min_fill = self.meta.min_fill as usize;
@@ -572,12 +446,12 @@ impl GrTree {
                     match self.delete_rec(child, extent, rowid, ct, orphans)? {
                         None => continue,
                         Some(ChildFate::Alive) => {
-                            let bound = self.meta.node_bound(&self.read_node(child)?, ct);
+                            let bound = self.meta.params.node_bound(&self.read_node(child)?, ct);
                             entries[idx].spec = bound;
                         }
                         Some(ChildFate::Dissolved(orphaned, l)) => {
                             orphans.push((orphaned, l));
-                            self.free_node(child)?;
+                            self.free(child)?;
                             entries.remove(idx);
                         }
                     }
@@ -624,13 +498,7 @@ impl GrTree {
     pub fn check(&self, ct: Day) -> Result<()> {
         let mut leaves = 0u64;
         self.check_rec(self.meta.root, None, true, ct, &mut leaves)?;
-        if leaves != self.meta.count {
-            return Err(GrError::Corrupt(format!(
-                "count mismatch: header {} vs leaves {leaves}",
-                self.meta.count
-            )));
-        }
-        Ok(())
+        Ok(self.check_count(leaves)?)
     }
 
     fn check_rec(
@@ -642,21 +510,7 @@ impl GrTree {
         leaves: &mut u64,
     ) -> Result<RegionSpec> {
         let node = self.read_node(page)?;
-        if let Some(l) = expect_level {
-            if node.level() != l {
-                return Err(GrError::Corrupt(format!(
-                    "page {page}: level {} expected {l}",
-                    node.level()
-                )));
-            }
-        }
-        if !is_root && node.len() < self.meta.min_fill as usize {
-            return Err(GrError::Corrupt(format!(
-                "page {page}: underfull ({} < {})",
-                node.len(),
-                self.meta.min_fill
-            )));
-        }
+        self.check_node(page, node.level(), expect_level, node.len())?;
         if is_root && node.is_empty() {
             return Ok(RegionSpec::leaf(
                 Day(0),

@@ -29,6 +29,7 @@ pub mod tree;
 
 pub use bulk::{bulk_load, bulk_load_pairs};
 pub use geom::{Rect2, SpatialPredicate};
+pub use meta::{root_mbr, RStarParams};
 pub use search::{RStarTreeReader, RectProbe};
 pub use stats::TreeQuality;
 pub use tree::{RStarOptions, RStarTree};

@@ -12,14 +12,15 @@
 //! apples.
 
 use crate::geom::{Rect2, SpatialPredicate};
-use crate::meta::{decode_free, encode_free, Meta, NO_PAGE};
+use crate::meta::RStarParams;
 use crate::node::{Entry, Node, MAX_FANOUT};
 use crate::search::RectProbe;
 use crate::stats::TreeQuality;
 use crate::{RStarError, Result};
 use grt_metrics::TreeMetrics;
-use grt_sbspace::{LoHandle, SearchTree};
+use grt_sbspace::{ChildFate, DeleteOutcome, LoHandle, NodeStore, SearchTree};
 use std::collections::HashSet;
+use std::ops::{Deref, DerefMut};
 
 /// Construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -44,154 +45,54 @@ impl Default for RStarOptions {
     }
 }
 
-/// Outcome of a deletion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeleteOutcome {
-    /// Whether the entry existed.
-    pub found: bool,
-    /// Whether the tree was condensed (nodes dissolved and entries
-    /// reinserted) — open cursors must restart (the paper's Section 5.5).
-    pub condensed: bool,
-}
-
-/// A disk-resident R\*-tree owning its large-object handle.
+/// A disk-resident R\*-tree owning its large-object handle. Header,
+/// page allocation and search come from its [`NodeStore`], which the
+/// tree derefs to.
 pub struct RStarTree {
-    pub(crate) lo: LoHandle,
-    pub(crate) meta: Meta,
-    /// Operation counters; detached by default, swapped for
-    /// registry-backed cells via [`RStarTree::set_metrics`].
-    pub(crate) metrics: TreeMetrics,
+    store: NodeStore<Node>,
 }
 
-enum ChildFate {
-    /// The child survives with (possibly) a new bounding rectangle.
-    Alive,
-    /// The child went underfull: its page was dissolved and its entries
-    /// must be reinserted.
-    Dissolved(Vec<Entry>, u16),
+impl Deref for RStarTree {
+    type Target = NodeStore<Node>;
+    fn deref(&self) -> &NodeStore<Node> {
+        &self.store
+    }
+}
+
+impl DerefMut for RStarTree {
+    fn deref_mut(&mut self) -> &mut NodeStore<Node> {
+        &mut self.store
+    }
 }
 
 impl RStarTree {
     /// Initialises a fresh tree inside an (empty) large object.
-    pub fn create(mut lo: LoHandle, opts: RStarOptions) -> Result<RStarTree> {
-        if lo.page_count() != 0 {
-            return Err(RStarError::Usage("large object not empty".into()));
-        }
+    pub fn create(lo: LoHandle, opts: RStarOptions) -> Result<RStarTree> {
         let max_entries = opts.max_entries.clamp(4, MAX_FANOUT) as u32;
         let min_fill = (max_entries * opts.min_fill_pct.clamp(10, 50) / 100).max(2);
-        let meta = Meta {
-            root: 1,
-            height: 1,
-            count: 0,
+        let params = RStarParams {
             max_entries,
-            min_fill,
-            free_head: NO_PAGE,
             reinsert_pct: opts.reinsert_pct.min(45),
         };
-        lo.append_page(&meta.encode())?;
-        lo.append_page(&Node::new(0).encode())?;
-        Ok(RStarTree {
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
+        let store = NodeStore::create(lo, min_fill, params, &Node::new(0))?;
+        Ok(RStarTree { store })
     }
 
     /// Opens an existing tree.
     pub fn open(lo: LoHandle) -> Result<RStarTree> {
-        let meta = Meta::decode(&*lo.read_page_pinned(0)?)?;
-        Ok(RStarTree {
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
-    }
-
-    /// Replaces the operation counters, typically with
-    /// [`TreeMetrics::registered`] cells feeding an engine-wide registry.
-    pub fn set_metrics(&mut self, metrics: TreeMetrics) {
-        self.metrics = metrics;
+        let store = NodeStore::open(lo, TreeMetrics::default())?;
+        Ok(RStarTree { store })
     }
 
     /// Releases the large-object handle, flushing the header when the
     /// handle is writable (read-only opens never changed it).
-    pub fn into_lo(mut self) -> Result<LoHandle> {
-        if self.lo.is_writable() {
-            self.write_meta()?;
-        }
-        Ok(self.lo)
-    }
-
-    /// Number of indexed entries.
-    pub fn len(&self) -> u64 {
-        self.meta.count
-    }
-
-    /// True when no entries are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.meta.count == 0
+    pub fn into_lo(self) -> Result<LoHandle> {
+        Ok(self.store.into_lo()?)
     }
 
     /// Maximum node fan-out of this tree instance.
     pub fn max_entries(&self) -> usize {
-        self.meta.max_entries as usize
-    }
-
-    /// Minimum fill of non-root nodes of this tree instance.
-    pub fn min_fill(&self) -> usize {
-        self.meta.min_fill as usize
-    }
-
-    fn write_meta(&mut self) -> Result<()> {
-        self.lo.write_page(0, &self.meta.encode())?;
-        Ok(())
-    }
-
-    /// Reads the node at `page` (public for dumps and stats).
-    pub fn read_node(&self, page: u32) -> Result<Node> {
-        Node::decode(&*self.lo.read_page_pinned(page)?)
-    }
-
-    fn write_node(&mut self, page: u32, node: &Node) -> Result<()> {
-        self.lo.write_page(page, &node.encode())?;
-        Ok(())
-    }
-
-    /// The root node's minimum bounding rectangle, or `None` for an
-    /// empty tree. The planner's selectivity estimate compares a query
-    /// rectangle against this bound.
-    pub fn root_mbr(&self) -> Result<Option<Rect2>> {
-        self.meta.root_mbr(&self.lo)
-    }
-
-    /// Appends a packed node during bulk load (no balancing).
-    pub(crate) fn bulk_append(&mut self, node: &Node) -> Result<u32> {
-        Ok(self.lo.append_page(&node.encode())?)
-    }
-
-    /// Installs the bulk-loaded root and counters.
-    pub(crate) fn bulk_finish(&mut self, root: u32, height: u32, count: u64) -> Result<()> {
-        self.meta.root = root;
-        self.meta.height = height.max(1);
-        self.meta.count = count;
-        self.write_meta()
-    }
-
-    fn alloc_node(&mut self, node: &Node) -> Result<u32> {
-        if self.meta.free_head != NO_PAGE {
-            let page = self.meta.free_head;
-            self.meta.free_head = decode_free(&*self.lo.read_page_pinned(page)?)?;
-            self.write_node(page, node)?;
-            return Ok(page);
-        }
-        Ok(self.lo.append_page(&node.encode())?)
-    }
-
-    fn free_node(&mut self, page: u32) -> Result<()> {
-        let img = encode_free(self.meta.free_head);
-        self.lo.write_page(page, &img)?;
-        self.meta.free_head = page;
-        Ok(())
+        self.meta.params.max_entries as usize
     }
 
     /// Inserts `rect` with payload `rowid`.
@@ -207,8 +108,7 @@ impl RStarTree {
         while let Some((entry, level)) = pending.pop() {
             self.insert_toplevel(entry, level, &mut reinserted, &mut pending)?;
         }
-        self.meta.count += 1;
-        self.write_meta()
+        Ok(self.finish_insert()?)
     }
 
     fn insert_toplevel(
@@ -229,7 +129,7 @@ impl RStarTree {
             let mut new_root = Node::new(old_root_node.level + 1);
             new_root.entries.push(left);
             new_root.entries.push(sibling);
-            let new_root_page = self.alloc_node(&new_root)?;
+            let new_root_page = self.alloc(&new_root)?;
             self.meta.root = new_root_page;
             self.meta.height += 1;
         }
@@ -257,13 +157,14 @@ impl RStarTree {
                 node.entries.push(sibling);
             }
         }
-        if node.entries.len() > self.meta.max_entries as usize {
+        if node.entries.len() > self.max_entries() {
             let is_root = page == self.meta.root;
-            if !is_root && self.meta.reinsert_pct > 0 && reinserted.insert(node.level) {
+            if !is_root && self.meta.params.reinsert_pct > 0 && reinserted.insert(node.level) {
                 // Forced reinsertion: evict the entries farthest from the
                 // node centre and re-add them at this level.
-                let k = ((node.entries.len() * self.meta.reinsert_pct as usize) / 100).max(1);
-                self.metrics.reinserts.add(k as u64);
+                let k =
+                    ((node.entries.len() * self.meta.params.reinsert_pct as usize) / 100).max(1);
+                self.metrics().reinserts.add(k as u64);
                 let mbr = node.mbr();
                 node.entries
                     .sort_by_key(|e| std::cmp::Reverse(e.rect.center_dist2(&mbr)));
@@ -277,7 +178,7 @@ impl RStarTree {
             let (a, b) = self.split(node);
             self.write_node(page, &a)?;
             let b_mbr = b.mbr();
-            let b_page = self.alloc_node(&b)?;
+            let b_page = self.alloc(&b)?;
             return Ok(Some(Entry {
                 rect: b_mbr,
                 payload: b_page as u64,
@@ -326,7 +227,7 @@ impl RStarTree {
     /// R\*-tree split: margin-driven axis selection, overlap-driven
     /// distribution selection.
     fn split(&self, node: Node) -> (Node, Node) {
-        self.metrics.splits.inc();
+        self.metrics().splits.inc();
         let m = self.meta.min_fill as usize;
         let total = node.entries.len();
         let level = node.level;
@@ -393,15 +294,9 @@ impl RStarTree {
         let mut orphans: Vec<(Vec<Entry>, u16)> = Vec::new();
         let removed = self.delete_rec(root, &rect, rowid, &mut orphans)?;
         if removed.is_none() {
-            return Ok(DeleteOutcome {
-                found: false,
-                condensed: false,
-            });
+            return Ok(DeleteOutcome::default());
         }
         let condensed = !orphans.is_empty();
-        if condensed {
-            self.metrics.condenses.inc();
-        }
         // Reinsert the dissolved nodes' entries at their own level.
         for (entries, level) in orphans {
             for entry in entries {
@@ -412,23 +307,7 @@ impl RStarTree {
                 }
             }
         }
-        // Shrink the root while it is internal with a single child.
-        loop {
-            let root_node = self.read_node(self.meta.root)?;
-            if root_node.is_leaf() || root_node.entries.len() != 1 {
-                break;
-            }
-            let old = self.meta.root;
-            self.meta.root = root_node.entries[0].payload as u32;
-            self.meta.height -= 1;
-            self.free_node(old)?;
-        }
-        self.meta.count -= 1;
-        self.write_meta()?;
-        Ok(DeleteOutcome {
-            found: true,
-            condensed,
-        })
+        self.finish_delete(condensed)
     }
 
     /// Recursive delete; `Ok(Some(fate))` when the entry was found under
@@ -439,7 +318,7 @@ impl RStarTree {
         rect: &Rect2,
         rowid: u64,
         orphans: &mut Vec<(Vec<Entry>, u16)>,
-    ) -> Result<Option<ChildFate>> {
+    ) -> Result<Option<ChildFate<Entry>>> {
         let mut node = self.read_node(page)?;
         let is_root = page == self.meta.root;
         if node.is_leaf() {
@@ -470,7 +349,7 @@ impl RStarTree {
                 }
                 Some(ChildFate::Dissolved(entries, level)) => {
                     orphans.push((entries, level));
-                    self.free_node(child)?;
+                    self.free(child)?;
                     node.entries.remove(idx);
                 }
             }
@@ -505,56 +384,24 @@ impl RStarTree {
         TreeQuality::compute(self, self.meta.root, self.meta.height)
     }
 
-    /// Total pages owned by the tree, header included.
-    pub fn pages(&self) -> u32 {
-        self.lo.page_count()
-    }
-
     /// Verifies structural invariants: entry rectangles equal child
     /// MBRs, levels decrease by one, non-root nodes respect minimum
     /// fill, and the leaf count matches the header.
     pub fn check(&self) -> Result<()> {
         let mut leaves = 0u64;
-        self.check_rec(self.meta.root, None, true, &mut leaves)?;
-        if leaves != self.meta.count {
-            return Err(RStarError::Corrupt(format!(
-                "count mismatch: header {} vs leaves {leaves}",
-                self.meta.count
-            )));
-        }
-        Ok(())
+        self.check_rec(self.meta.root, None, &mut leaves)?;
+        Ok(self.check_count(leaves)?)
     }
 
-    fn check_rec(
-        &self,
-        page: u32,
-        expect_level: Option<u16>,
-        is_root: bool,
-        leaves: &mut u64,
-    ) -> Result<Rect2> {
+    fn check_rec(&self, page: u32, expect_level: Option<u16>, leaves: &mut u64) -> Result<Rect2> {
         let node = self.read_node(page)?;
-        if let Some(l) = expect_level {
-            if node.level != l {
-                return Err(RStarError::Corrupt(format!(
-                    "page {page}: level {} expected {l}",
-                    node.level
-                )));
-            }
-        }
-        if !is_root && node.entries.len() < self.meta.min_fill as usize {
-            return Err(RStarError::Corrupt(format!(
-                "page {page}: underfull ({} < {})",
-                node.entries.len(),
-                self.meta.min_fill
-            )));
-        }
+        self.check_node(page, node.level, expect_level, node.entries.len())?;
         if node.is_leaf() {
             *leaves += node.entries.len() as u64;
             return Ok(node.mbr());
         }
         for e in &node.entries {
-            let child_mbr =
-                self.check_rec(e.payload as u32, Some(node.level - 1), false, leaves)?;
+            let child_mbr = self.check_rec(e.payload as u32, Some(node.level - 1), leaves)?;
             if child_mbr != e.rect {
                 return Err(RStarError::Corrupt(format!(
                     "page {page}: stale child rect {} vs {child_mbr}",

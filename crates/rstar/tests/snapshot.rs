@@ -81,7 +81,7 @@ fn parallel_matches_serial_across_degrees() {
         let mut want = tree.search(pred, &query).unwrap();
         want.sort_unstable();
         for workers in [1, 2, 4, 8] {
-            let got = parallel_ids(&tree, &RectProbe { pred, query }, workers);
+            let got = parallel_ids(&*tree, &RectProbe { pred, query }, workers);
             assert_eq!(got, want, "{pred:?} at degree {workers} diverged");
         }
     }

@@ -36,6 +36,7 @@ pub mod page;
 pub mod search;
 pub mod space;
 pub mod stats;
+pub mod store;
 pub mod txn;
 pub mod wal;
 
@@ -49,6 +50,7 @@ pub use space::{
     LoHandle, LoReader, PageSource, Sbspace, SbspaceOptions, SpaceInfo, SpaceSnapshot,
 };
 pub use stats::{IoSnapshot, IoStats};
+pub use store::{ChildFate, DeleteOutcome, Header, NodeCodec, NodeError, NodeStore, TreeReader};
 pub use txn::{Txn, TxnEnd, TxnId};
 pub use wal::{FileWal, MemWal, WalStore, DEFAULT_SEGMENT_BYTES};
 

@@ -14,7 +14,8 @@
 //! * [`SearchTree`] — where a tree's pages are read from (any
 //!   [`PageSource`]: a locked [`LoHandle`](crate::LoHandle) or a frozen
 //!   [`LoReader`](crate::LoReader)), its root and height, and the
-//!   counters to charge.
+//!   counters to charge — implemented once, by the
+//!   [`NodeStore`](crate::NodeStore) every tree keeps its pages in.
 //!
 //! Node pages are immutable once published, so neither the cursor nor
 //! the parallel workers need per-node latch coupling on either source.
@@ -30,12 +31,12 @@ use std::time::Instant;
 /// One query against one tree kind.
 pub trait TreeProbe: Sync {
     /// A matching leaf entry as handed to the caller.
-    type Hit: Copy + Send;
+    type Hit: Clone + Send;
     /// What makes two hits the same entry: the cursor's dedup key and
     /// the parallel merge's sort order.
     type Key: Ord + Hash + Send;
     /// The tree's error type.
-    type Error: From<SbError> + Send;
+    type Error: From<SbError> + Send + std::fmt::Display;
 
     /// Decodes the node image `page` and tests its entries: an internal
     /// node appends its qualifying children to `kids`, a leaf appends
@@ -129,7 +130,7 @@ impl<P: TreeProbe> Cursor<P> {
             while let Some(hit) = self.hits.get(self.next_hit) {
                 self.next_hit += 1;
                 if self.emitted.insert(P::key(hit)) {
-                    return Ok(Some(*hit));
+                    return Ok(Some(hit.clone()));
                 }
             }
             self.hits.clear();
@@ -193,9 +194,8 @@ fn dedup_sort<P: TreeProbe>(rows: &mut Vec<P::Hit>) {
 
 /// A tree the scaffold can search: where its node pages are read from,
 /// the root and height of the version being read, and the counters to
-/// charge. Implemented by the locked trees (over a `LoHandle`, seeing
-/// the transaction's own writes) and by their frozen readers (over a
-/// `LoReader`).
+/// charge. Over a `LoHandle` a tree sees the transaction's own writes,
+/// over a `LoReader` a frozen snapshot.
 pub trait SearchTree {
     /// Where node pages come from.
     type Source: PageSource;

@@ -13,7 +13,7 @@
 use grtree_datablade::gist::am::install_gist_blade;
 use grtree_datablade::gist::{GistTree, GistTreeOptions, IntRange, IntRangeExt, RectExt, RectKey};
 use grtree_datablade::ids::{Database, DatabaseOptions};
-use grtree_datablade::sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions};
+use grtree_datablade::sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions, SearchTree};
 
 fn main() {
     // ---- the extension interface, used directly -----------------------

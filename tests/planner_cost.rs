@@ -3,9 +3,14 @@
 //! the heap sweep (before this, a blind `pages * 0.25` estimate let
 //! wide scans masquerade as cheap), and a full-range probe — which
 //! really does visit everything — must lose to the sequential scan.
+//! Both tree access methods are held to this: the R\*-tree's bound
+//! reaches `Day::MAX` under max-timestamp grounding, which must not
+//! flatten its estimate.
 
-use grtree_datablade::blade::{install_grtree_blade, GrTreeAmOptions};
+use grtree_datablade::blade::{install_grtree_blade, install_rstar_blade, GrTreeAmOptions};
 use grtree_datablade::ids::{Database, DatabaseOptions};
+use grtree_datablade::rstar::bitemporal::NowStrategy;
+use grtree_datablade::rstar::RStarOptions;
 use grtree_datablade::temporal::{Day, MockClock};
 use std::sync::Arc;
 
@@ -16,17 +21,28 @@ fn render(day: i32) -> String {
 
 #[test]
 fn narrow_probe_beats_sequential_scan_and_full_range_does_not() {
+    plans_follow_probe_width("grtree_am", "grt_opclass", "grtree");
+    plans_follow_probe_width("rstar_am", "rstar_opclass", "rstar");
+}
+
+fn plans_follow_probe_width(am: &str, opclass: &str, tree: &str) {
     let clock = MockClock::new(Day(10_000));
     let db = Database::new(DatabaseOptions {
         clock: Arc::new(clock.clone()),
         ..Default::default()
     });
-    install_grtree_blade(&db, GrTreeAmOptions::default()).unwrap();
+    if am == "rstar_am" {
+        install_rstar_blade(&db, NowStrategy::MaxTimestamp, RStarOptions::default()).unwrap();
+    } else {
+        install_grtree_blade(&db, GrTreeAmOptions::default()).unwrap();
+    }
     let conn = db.connect();
     conn.exec("CREATE TABLE t (id integer, Time_Extent GRT_TimeExtent_t)")
         .unwrap();
-    conn.exec("CREATE INDEX tix ON t(Time_Extent grt_opclass) USING grtree_am")
-        .unwrap();
+    conn.exec(&format!(
+        "CREATE INDEX tix ON t(Time_Extent {opclass}) USING {am}"
+    ))
+    .unwrap();
     for i in 0..200 {
         clock.set(Day(10_000 + i));
         let s = render(10_000 + i);
@@ -52,10 +68,10 @@ fn narrow_probe_beats_sequential_scan_and_full_range_does_not() {
     assert_eq!(
         d.get("ids.plans_index"),
         1,
-        "narrow probe must use the index: {d}"
+        "{am}: narrow probe must use the index: {d}"
     );
-    assert_eq!(d.get("ids.plans_seq"), 0, "{d}");
-    assert!(d.get("grtree.searches") > 0, "{d}");
+    assert_eq!(d.get("ids.plans_seq"), 0, "{am}: {d}");
+    assert!(d.get(&format!("{tree}.searches")) > 0, "{am}: {d}");
 
     // A probe covering the whole history: selectivity ≈ 1, so the
     // index would touch every page *and* pay the tree overhead — the
@@ -72,7 +88,7 @@ fn narrow_probe_beats_sequential_scan_and_full_range_does_not() {
     assert_eq!(
         d.get("ids.plans_seq"),
         1,
-        "full-range probe must sweep the heap: {d}"
+        "{am}: full-range probe must sweep the heap: {d}"
     );
-    assert_eq!(d.get("ids.plans_index"), 0, "{d}");
+    assert_eq!(d.get("ids.plans_index"), 0, "{am}: {d}");
 }
